@@ -89,13 +89,16 @@ BENCHMARK(BM_BatchAnalyzeRuleSets)
     ->UseRealTime();
 
 // Shared reporting for the explorer scaling curves: states/s plus the
-// scheduling telemetry that shows the work really moved between workers.
+// scheduling telemetry that shows whether helper threads started and the
+// work really moved between workers. `helpers` is per exploration.
 void ReportExplorerRun(benchmark::State& state, long steps, long steals,
-                       long fallbacks) {
+                       long fallbacks, long helpers) {
   state.counters["steps_per_s"] = benchmark::Counter(
       static_cast<double>(steps), benchmark::Counter::kIsRate);
   state.counters["steals"] = static_cast<double>(steals);
   state.counters["fallbacks"] = static_cast<double>(fallbacks);
+  state.counters["helpers"] = benchmark::Counter(
+      static_cast<double>(helpers), benchmark::Counter::kAvgIterations);
 }
 
 // Hot path 3: the work-stealing explorer on N unordered commuting rules —
@@ -127,16 +130,17 @@ void BM_WorkStealingExplorer(benchmark::State& state) {
   options.num_threads = static_cast<int>(state.range(1));
   options.por = state.range(2) != 0 ? ExplorerOptions::PorMode::kCommute
                                     : ExplorerOptions::PorMode::kOff;
-  long steps = 0, steals = 0, fallbacks = 0;
+  long steps = 0, steals = 0, fallbacks = 0, helpers = 0;
   for (auto _ : state) {
     auto r = Explorer::ExploreAfterStatements(
         catalog.value(), db, {"insert into src values (1)"}, options);
     steps += r.value().steps_taken;
     steals += r.value().stats.steals;
     fallbacks += r.value().stats.parallel_fallbacks;
+    helpers += r.value().stats.helper_threads;
     benchmark::DoNotOptimize(r.value().final_states.size());
   }
-  ReportExplorerRun(state, steps, steals, fallbacks);
+  ReportExplorerRun(state, steps, steals, fallbacks, helpers);
 }
 BENCHMARK(BM_WorkStealingExplorer)
     ->ArgsProduct({{6, 7}, {0, 1, 2, 4, 8}, {0, 1}})
@@ -183,16 +187,17 @@ void BM_DeepCascadeExplorer(benchmark::State& state) {
   options.num_threads = static_cast<int>(state.range(0));
   options.por = state.range(1) != 0 ? ExplorerOptions::PorMode::kCommute
                                     : ExplorerOptions::PorMode::kOff;
-  long steps = 0, steals = 0, fallbacks = 0;
+  long steps = 0, steals = 0, fallbacks = 0, helpers = 0;
   for (auto _ : state) {
     auto r = Explorer::ExploreAfterStatements(
         catalog.value(), db, {"insert into src values (1)"}, options);
     steps += r.value().steps_taken;
     steals += r.value().stats.steals;
     fallbacks += r.value().stats.parallel_fallbacks;
+    helpers += r.value().stats.helper_threads;
     benchmark::DoNotOptimize(r.value().final_states.size());
   }
-  ReportExplorerRun(state, steps, steals, fallbacks);
+  ReportExplorerRun(state, steps, steals, fallbacks, helpers);
 }
 BENCHMARK(BM_DeepCascadeExplorer)
     ->ArgsProduct({{0, 1, 2, 4, 8}, {0, 1}})

@@ -6,8 +6,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -846,6 +849,22 @@ class ExplorerImpl {
 /// it and reruns the classic walk, whose truncation order is deterministic.
 /// Work is never lost: an owner drains its own cursors even when a task is
 /// stolen, so completion does not depend on any thief making progress.
+///
+/// Adaptive start: worker 0 walks alone on the calling thread and starts
+/// the helpers only when the walk claims its kHelperStartSteps-th step, so
+/// a small tree never pays for a thread. Nothing above depends on when a
+/// helper arrives — its first act is a steal — so the contract is the same
+/// whether zero or all helpers ever start.
+
+/// Steps worker 0 claims alone before it starts the helpers. A helper costs
+/// one thread start plus join, which adds 40-90 µs of wall time to an
+/// exploration on a 4-CPU x86-64 Linux host (bench_parallel's n=6 POR tree
+/// and explore_mix's small jobs; an empty thread's bare start+join is
+/// ~20 µs, the rest is the helper's set-up and idle steal loop). The
+/// cheapest step costs ~2 µs (bench_delta's undo-log walk), so a tree needs
+/// 20-50 steps before one helper can repay its start; 64 is the next power
+/// of two.
+constexpr long kHelperStartSteps = 64;
 
 /// A stealable DFS frame, shared between the worker that created it and
 /// any thieves. `path` / `path_fps` let a thief reconstruct the frame's
@@ -877,45 +896,41 @@ class WorkStealingExplorer {
         num_workers_(static_cast<size_t>(options.num_threads)),
         deques_(num_workers_) {}
 
+  WorkStealingExplorer(const WorkStealingExplorer&) = delete;
+  WorkStealingExplorer& operator=(const WorkStealingExplorer&) = delete;
+
+  /// Joins any helper still running when an exception escapes worker 0
+  /// (allocation failure); Run() joins them on every normal path. Abort
+  /// first: the helpers would otherwise wait for a worker 0 that never
+  /// goes idle.
+  ~WorkStealingExplorer() {
+    Abort();
+    for (std::thread& t : helpers_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
   Result<ExplorationResult> Run(const Transition& initial_transition) {
     auto start = std::chrono::steady_clock::now();
-    root_state_.emplace(&catalog_.schema(), catalog_.num_rules());
-    root_state_->db = initial_db_;
-    for (Transition& t : root_state_->pending) t = initial_transition;
-    // Rendered on this thread before any worker copies the root state, so
-    // the copies start from clean canonical-string caches and workers
-    // never touch a shared mutable one (same contract as sharded mode).
-    size_t db_len = 0;
-    root_key_ = CanonicalStateKey(*root_state_, &db_len);
-    root_db_len_ = db_len;
-    root_fp_ = undo_ ? StateFingerprintUndo(*root_state_)
-                     : HashString128(root_key_);
-    rollback_db_key_ = initial_db_.CanonicalString();
-    initial_fp_ = initial_db_.ContentFingerprint();
-    rollback_fp_ = undo_ ? MixWithSalt(initial_fp_, kRollbackSalt)
-                         : HashString128("ROLLBACK#" + rollback_db_key_);
-    rollback_key_bytes_ =
-        static_cast<long>(9 /* "ROLLBACK#" */ + rollback_db_key_.size());
+    initial_transition_ = &initial_transition;
+    if (undo_) {
+      initial_fp_ = initial_db_.ContentFingerprint();
+      rollback_fp_ = MixWithSalt(initial_fp_, kRollbackSalt);
+    } else {
+      // Rendered before worker 0 copies the initial database, so its root
+      // (and later the helpers' root copy) inherits the rendering, and no
+      // worker ever renders the shared database.
+      rollback_db_key_ = initial_db_.CanonicalString();
+      rollback_fp_ = HashString128("ROLLBACK#" + rollback_db_key_);
+      rollback_key_bytes_ =
+          static_cast<long>(9 /* "ROLLBACK#" */ + rollback_db_key_.size());
+    }
 
     locals_.resize(num_workers_);
     deques_.MarkActive();  // worker 0 owns the root region from the start
-    {
-      // Dedicated threads, NOT ThreadPool::ParallelFor: the pool counts
-      // its chunks (`pool.chunks`, `pool.parallel_for_calls`), and a
-      // chunk-per-worker loop would make those counters a function of
-      // num_threads — breaking the byte-identical-counters contract that
-      // CountersToJson keeps across pool sizes. A long-lived worker loop
-      // is not chunked data-parallel work, so it stays off the pool's
-      // books. Workers never throw (the explorer is Status-based); worker
-      // 0 runs inline so the calling thread participates.
-      std::vector<std::thread> workers;
-      workers.reserve(num_workers_ - 1);
-      for (size_t w = 1; w < num_workers_; ++w) {
-        workers.emplace_back([this, w] { RunWorker(w); });
-      }
-      RunWorker(0);
-      for (std::thread& t : workers) t.join();
-    }
+    RunWorker(0);  // starts the helpers once the walk is big enough
+    for (std::thread& t : helpers_) t.join();
+    if (helper_error_ != nullptr) std::rethrow_exception(helper_error_);
     if (!aborted_.load(std::memory_order_acquire)) {
       std::optional<ExplorationResult> merged = Merge(start);
       if (merged.has_value()) return std::move(*merged);
@@ -931,6 +946,7 @@ class WorkStealingExplorer {
     if (result.ok()) {
       result.value().stats.parallel_fallbacks = 1;
       result.value().stats.steals = deques_.steals();
+      result.value().stats.helper_threads = static_cast<long>(helpers_.size());
     }
     return result;
   }
@@ -1009,16 +1025,15 @@ class WorkStealingExplorer {
     Ctx ctx;
     ctx.w = w;
     ctx.local = &locals_[w];
-    if (undo_) {
-      ctx.cur.emplace(*root_state_);
-      ctx.cur->pending_undo = &ctx.pending_undo;
-    }
     if (w == 0) {
       EnterRoot(ctx);
       DriveLocal(ctx);
       if (Aborted()) return;
       ResetRegion(ctx);
       deques_.MarkIdle();
+    } else if (undo_) {
+      ctx.cur.emplace(*root_state_);
+      ctx.cur->pending_undo = &ctx.pending_undo;
     }
     while (!Aborted()) {
       std::shared_ptr<StealTask> task = deques_.Steal(w);
@@ -1076,6 +1091,9 @@ class WorkStealingExplorer {
         Abort();
         return;
       }
+      // Worker 0 claims every step until the helpers exist, so exactly one
+      // claim — its own — crosses the threshold.
+      if (s + 1 == kHelperStartSteps) StartHelpers();
       ++ctx.local->steps;
       if (undo_) {
         ctx.pending_undo.Mark();
@@ -1120,22 +1138,42 @@ class WorkStealingExplorer {
     }
   }
 
-  /// Evaluates the exploration root on worker 0 — the classic Enter() on a
-  /// region root (no entry delta, restore-to-empty stream).
+  /// The exploration root: the initial database with every rule's pending
+  /// transition equal to the initial transition.
+  RuleProcessingState InitialState() const {
+    RuleProcessingState state(&catalog_.schema(), catalog_.num_rules());
+    state.db = initial_db_;
+    for (Transition& t : state.pending) t = *initial_transition_;
+    return state;
+  }
+
+  /// Builds and evaluates the exploration root on worker 0, as the classic
+  /// walk does — the classic Enter() on a region root (no entry delta,
+  /// restore-to-empty stream).
   void EnterRoot(Ctx& ctx) {
-    bool fresh = visited_.Insert(root_fp_);
-    if (!fresh) ++ctx.local->interner_hits;
-    if (!undo_) {
-      ctx.local->canonical_bytes += static_cast<long>(root_key_.size());
+    RuleProcessingState root = InitialState();
+    Hash128 fp;
+    std::string key;  // snapshot backend only
+    size_t db_len = 0;
+    if (undo_) {
+      ctx.cur.emplace(std::move(root));
+      ctx.cur->pending_undo = &ctx.pending_undo;
+      fp = StateFingerprintUndo(*ctx.cur);
+    } else {
+      key = CanonicalStateKey(root, &db_len);
+      ctx.local->canonical_bytes += static_cast<long>(key.size());
+      fp = HashString128(key);
     }
+    bool fresh = visited_.Insert(fp);
+    if (!fresh) ++ctx.local->interner_hits;
     std::vector<RuleIndex> triggered =
-        TriggeredRules(catalog_, *root_state_);
+        TriggeredRules(catalog_, undo_ ? *ctx.cur : root);
     if (triggered.empty()) {
       if (undo_) {
-        ctx.local->finals_undo.try_emplace(initial_fp_, root_state_->db);
+        ctx.local->finals_undo.try_emplace(initial_fp_, ctx.cur->db);
       } else {
-        ctx.local->finals_copy.try_emplace(
-            root_key_.substr(0, root_db_len_), root_state_->db);
+        key.resize(db_len);
+        ctx.local->finals_copy.try_emplace(std::move(key), std::move(root.db));
       }
       RecordStream(ctx);
       return;
@@ -1145,10 +1183,49 @@ class WorkStealingExplorer {
       return;
     }
     Frame frame;
-    frame.fp = root_fp_;
+    frame.fp = fp;
     frame.restore_stream = 0;
-    if (!undo_) frame.state.emplace(*root_state_);
+    if (!undo_) frame.state.emplace(std::move(root));
     PushFrame(ctx, std::move(frame), triggered, /*via=*/-1);
+  }
+
+  /// Runs on worker 0 when the walk claims its kHelperStartSteps-th step:
+  /// builds the root the helpers replay stolen paths from, then starts
+  /// them. A helper whose thread fails to start is not retried — the
+  /// workers already running finish the walk (an unstarted helper's deque
+  /// just stays empty).
+  void StartHelpers() {
+    root_state_.emplace(InitialState());
+    if (undo_) {
+      // Rendered once before any helper copies the root, so the copies
+      // inherit per-table canonical caches and the shared root stays
+      // read-only while the helpers run.
+      (void)root_state_->db.CanonicalString();
+    }
+    // Dedicated threads, NOT ThreadPool::ParallelFor: the pool counts its
+    // chunks (`pool.chunks`, `pool.parallel_for_calls`), and a
+    // chunk-per-worker loop would make those counters a function of
+    // num_threads — breaking the byte-identical-counters contract that
+    // CountersToJson keeps across pool sizes. A long-lived worker loop is
+    // not chunked data-parallel work, so it stays off the pool's books.
+    helpers_.reserve(num_workers_ - 1);
+    for (size_t w = 1; w < num_workers_; ++w) {
+      try {
+        helpers_.emplace_back([this, w] {
+          try {
+            RunWorker(w);
+          } catch (...) {
+            std::lock_guard<std::mutex> lock(helper_error_mu_);
+            if (helper_error_ == nullptr) {
+              helper_error_ = std::current_exception();
+            }
+            Abort();
+          }
+        });
+      } catch (const std::system_error&) {
+        break;
+      }
+    }
   }
 
   /// Undo-backend child entry: the live state sits at the child (delta
@@ -1429,6 +1506,7 @@ class WorkStealingExplorer {
     out.stats.states_interned = interned;
     out.stats.shared_interner_hits = out.stats.interner_hits;
     out.stats.steals = deques_.steals();
+    out.stats.helper_threads = static_cast<long>(helpers_.size());
     STARBURST_METRIC_HISTOGRAM("explorer.interner_contention",
                                ContentionBounds(),
                                visited_.ContendedLocks());
@@ -1446,10 +1524,9 @@ class WorkStealingExplorer {
   const bool undo_;
   const size_t num_workers_;
 
+  const Transition* initial_transition_ = nullptr;
+  /// The root the helpers copy and replay from; built by StartHelpers().
   std::optional<RuleProcessingState> root_state_;
-  std::string root_key_;
-  size_t root_db_len_ = 0;
-  Hash128 root_fp_;
   Hash128 initial_fp_;
   Hash128 rollback_fp_;
   std::string rollback_db_key_;
@@ -1464,6 +1541,12 @@ class WorkStealingExplorer {
   std::atomic<bool> may_not_terminate_{false};
   std::atomic<bool> rollback_claimed_{false};
   std::vector<WorkerLocal> locals_;
+  /// The first exception a helper threw; Run() rethrows it after the join.
+  std::mutex helper_error_mu_;
+  std::exception_ptr helper_error_;
+  /// Helper threads actually started (workers 1..helpers_.size()),
+  /// declared last: they use every member above.
+  std::vector<std::thread> helpers_;
 };
 
 /// Legacy deterministic sharding, kept for dedup_subtrees mode (the
@@ -1686,6 +1769,9 @@ void FlushExplorationMetrics(const ExplorationResult& r) {
   // contract (which is byte-compared across explorer thread counts).
   if (r.stats.steals > 0) {
     metrics::GetGauge("explorer.steals")->Add(r.stats.steals);
+  }
+  if (r.stats.helper_threads > 0) {
+    metrics::GetGauge("explorer.helper_threads")->Add(r.stats.helper_threads);
   }
   if (r.stats.shared_interner_hits > 0) {
     metrics::GetGauge("explorer.shared_interner_hits")

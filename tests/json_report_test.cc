@@ -145,6 +145,7 @@ TEST_F(JsonReportTest, ExplorationStatsJson) {
   stats.dedup_hits = 7;
   stats.peak_stack_depth = 9;
   stats.canonicalization_bytes = 1234;
+  stats.helper_threads = 3;
   stats.wall_seconds = 0.5;
   std::string json = ExplorationStatsToJson(stats);
   EXPECT_TRUE(IsStructurallyValidJson(json));
@@ -152,6 +153,7 @@ TEST_F(JsonReportTest, ExplorationStatsJson) {
   EXPECT_NE(json.find("\"dedup_hits\":7"), std::string::npos);
   EXPECT_NE(json.find("\"peak_stack_depth\":9"), std::string::npos);
   EXPECT_NE(json.find("\"canonicalization_bytes\":1234"), std::string::npos);
+  EXPECT_NE(json.find("\"helper_threads\":3"), std::string::npos);
   EXPECT_NE(json.find("\"wall_seconds\":0.5"), std::string::npos);
 }
 

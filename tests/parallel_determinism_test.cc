@@ -230,5 +230,104 @@ TEST_F(ParallelDeterminismTest, ExplorerBackendsIdenticalAcrossThreadCounts) {
   }
 }
 
+// Seeded concurrency sweep. The explorer starts its helper threads only
+// once a walk claims 64 steps, and most random catalogs finish well before
+// that — so the randomized oracles above rarely run two workers at once.
+// This sweep keeps random catalogs whose classic walk takes at least 256
+// steps and explores each at 2/4/8 threads x both backends x POR off/on,
+// comparing every result and determinism-contract counter bit-for-bit with
+// the classic walk of the same backend and POR mode.
+TEST_F(ParallelDeterminismTest, LargeRandomTreesMatchClassicAcrossWorkers) {
+  constexpr long kMinSteps = 256;
+  constexpr long kMaxSteps = 512;  // the budget; keeps the sweep short under TSan
+  constexpr int kCases = 2;
+  constexpr uint64_t kMaxSeeds = 200;
+  constexpr auto kCopy = ExplorerOptions::StateBackend::kSnapshotCopy;
+  constexpr auto kUndo = ExplorerOptions::StateBackend::kUndoLog;
+  constexpr auto kPorOff = ExplorerOptions::PorMode::kOff;
+  constexpr auto kPorOn = ExplorerOptions::PorMode::kCommute;
+
+  int cases = 0;
+  long helper_runs = 0;
+  for (uint64_t seed = 1; seed <= kMaxSeeds && cases < kCases; ++seed) {
+    // Acyclic triggering keeps most of these walks finite, so more seeds
+    // reach the wide interleaving trees this sweep is after.
+    RandomRuleSetParams params;
+    params.seed = seed;
+    params.num_rules = 6 + static_cast<int>(seed % 3);
+    params.num_tables = 3;
+    params.columns_per_table = 2;
+    params.observable_fraction = (seed % 2 == 0) ? 0.3 : 0.0;
+    params.update_bound = 4;
+    params.dag_triggering = true;
+    GeneratedRuleSet gen = RandomRuleSetGenerator::Generate(params);
+    auto catalog = RuleCatalog::Build(gen.schema.get(), std::move(gen.rules));
+    if (!catalog.ok()) continue;
+    Database db(gen.schema.get());
+    ASSERT_TRUE(PopulateRandomDatabase(&db, 1, seed).ok());
+    auto explore = [&](ExplorerOptions::StateBackend backend,
+                       ExplorerOptions::PorMode por, int num_threads) {
+      ExplorerOptions options;
+      options.max_depth = 32;
+      options.max_total_steps = kMaxSteps;
+      options.backend = backend;
+      options.por = por;
+      options.num_threads = num_threads;
+      return Explorer::ExploreAfterStatements(
+          catalog.value(), db,
+          {"insert into t0 values (1, 2)", "insert into t1 values (3, 1)"},
+          options);
+    };
+    auto probe = explore(kUndo, kPorOff, 0);
+    if (!probe.ok() || !probe.value().complete ||
+        probe.value().steps_taken < kMinSteps) {
+      continue;
+    }
+    ++cases;
+    for (auto backend : {kUndo, kCopy}) {
+      for (auto por : {kPorOff, kPorOn}) {
+        // The probe already is the undo-log, POR-off classic walk.
+        auto classic = backend == kUndo && por == kPorOff
+                           ? probe
+                           : explore(backend, por, 0);
+        ASSERT_TRUE(classic.ok()) << classic.status().ToString();
+        const ExplorationResult& c = classic.value();
+        for (int threads : {2, 4, 8}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) + " backend=" +
+                       std::to_string(backend == kUndo) + " por=" +
+                       std::to_string(por == kPorOn) +
+                       " threads=" + std::to_string(threads));
+          auto parallel = explore(backend, por, threads);
+          ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+          const ExplorationResult& p = parallel.value();
+          EXPECT_EQ(p.final_states, c.final_states);
+          EXPECT_EQ(p.observable_streams, c.observable_streams);
+          EXPECT_EQ(p.complete, c.complete);
+          EXPECT_EQ(p.may_not_terminate, c.may_not_terminate);
+          EXPECT_EQ(p.steps_taken, c.steps_taken);
+          EXPECT_EQ(p.states_visited, c.states_visited);
+          EXPECT_EQ(p.stats.states_interned, c.stats.states_interned);
+          EXPECT_EQ(p.stats.interner_hits, c.stats.interner_hits);
+          EXPECT_EQ(p.stats.delta_reverts, c.stats.delta_reverts);
+          EXPECT_EQ(p.stats.canonicalization_bytes,
+                    c.stats.canonicalization_bytes);
+          EXPECT_EQ(p.stats.por_pruned_orders, c.stats.por_pruned_orders);
+          EXPECT_EQ(p.stats.peak_stack_depth, c.stats.peak_stack_depth);
+          EXPECT_EQ(p.stats.parallel_fallbacks, 0);
+          // Helpers start exactly when the walk reaches 64 steps; a
+          // POR-reduced tree may stay under that.
+          EXPECT_EQ(p.stats.helper_threads,
+                    c.steps_taken >= 64 ? threads - 1 : 0);
+          if (p.stats.helper_threads > 0) ++helper_runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, kCases) << "too few seeds produced a tree of "
+                           << kMinSteps << ".." << kMaxSteps << " steps";
+  // POR off alone gives 2 backends x 3 thread counts per case.
+  EXPECT_GE(helper_runs, 6L * kCases);
+}
+
 }  // namespace
 }  // namespace starburst

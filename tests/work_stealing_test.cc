@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/striped_set.h"
 #include "common/work_stealing.h"
 #include "engine/fingerprint.h"
@@ -244,6 +245,15 @@ TEST(WorkStealingDequesTest, ConcurrentHammerClaimsEveryUnitOnce) {
 // TSan run sees many schedules. Results and the deterministic stats must
 // be bit-identical every iteration.
 
+// Four updates plus one observable select, all on `a`: 5 + 5*4 + ... + 5!
+// = 325 edges, far past the 64 steps after which helpers start.
+constexpr const char* kFiveWayRules =
+    "create rule w1 on a when inserted then update a set x = 1; "
+    "create rule w2 on a when inserted then update a set x = 2; "
+    "create rule w3 on a when inserted then update a set x = 3; "
+    "create rule w4 on a when inserted then update a set x = 4; "
+    "create rule w5 on a when inserted then select 9 from a;";
+
 class WorkStealingExplorerTest : public ::testing::Test {
  protected:
   void Load(const std::string& ddl, const std::string& rules_src) {
@@ -268,55 +278,168 @@ class WorkStealingExplorerTest : public ::testing::Test {
     return r.ok() ? std::move(r).value() : ExplorationResult{};
   }
 
+  // Every result field and determinism-contract counter must equal the
+  // classic walk's; only the scheduling telemetry may differ.
+  static void ExpectMatchesClassic(const ExplorationResult& stealing,
+                                   const ExplorationResult& classic) {
+    EXPECT_EQ(stealing.final_states, classic.final_states);
+    EXPECT_EQ(stealing.observable_streams, classic.observable_streams);
+    EXPECT_EQ(stealing.complete, classic.complete);
+    EXPECT_EQ(stealing.may_not_terminate, classic.may_not_terminate);
+    EXPECT_EQ(stealing.steps_taken, classic.steps_taken);
+    // The shared interner makes the visit accounting thread-invariant:
+    // these were per-shard (and schedule-dependent) before.
+    EXPECT_EQ(stealing.states_visited, classic.states_visited);
+    EXPECT_EQ(stealing.stats.states_interned, classic.stats.states_interned);
+    EXPECT_EQ(stealing.stats.interner_hits, classic.stats.interner_hits);
+    EXPECT_EQ(stealing.stats.delta_reverts, classic.stats.delta_reverts);
+    EXPECT_EQ(stealing.stats.canonicalization_bytes,
+              classic.stats.canonicalization_bytes);
+    EXPECT_EQ(stealing.stats.por_pruned_orders,
+              classic.stats.por_pruned_orders);
+    // Every state is visited at its classic tree depth (a thief's
+    // replayed prefix counts toward its depth), so even the stack peak
+    // is schedule-invariant.
+    EXPECT_EQ(stealing.stats.peak_stack_depth,
+              classic.stats.peak_stack_depth);
+  }
+
+  static constexpr ExplorerOptions::StateBackend kBackends[] = {
+      ExplorerOptions::StateBackend::kUndoLog,
+      ExplorerOptions::StateBackend::kSnapshotCopy};
+
+  static std::string BackendName(ExplorerOptions::StateBackend backend) {
+    return backend == ExplorerOptions::StateBackend::kUndoLog ? "undo"
+                                                              : "copy";
+  }
+
   Schema schema_;
   std::unique_ptr<RuleCatalog> catalog_;
   std::unique_ptr<Database> db_;
 };
 
 TEST_F(WorkStealingExplorerTest, RepeatedRunsMatchClassicBitForBit) {
-  Load("create table a (x int);",
-       "create rule w1 on a when inserted then update a set x = 1; "
-       "create rule w2 on a when inserted then update a set x = 2; "
-       "create rule w3 on a when inserted then update a set x = 3; "
-       "create rule w4 on a when inserted then update a set x = 4; "
-       "create rule w5 on a when inserted then select 9 from a;");
-  for (auto backend : {ExplorerOptions::StateBackend::kUndoLog,
-                       ExplorerOptions::StateBackend::kSnapshotCopy}) {
+  Load("create table a (x int);", kFiveWayRules);
+  for (auto backend : kBackends) {
     ExplorerOptions options;
     options.backend = backend;
     options.por = ExplorerOptions::PorMode::kOff;
     options.num_threads = 0;
     ExplorationResult classic = Explore(options);
     ASSERT_TRUE(classic.complete);
+    ASSERT_EQ(classic.steps_taken, 325);
     for (int iteration = 0; iteration < 5; ++iteration) {
       options.num_threads = 4;
       ExplorationResult stealing = Explore(options);
-      SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
+      SCOPED_TRACE("backend=" + BackendName(backend) +
                    " iteration=" + std::to_string(iteration));
-      EXPECT_EQ(stealing.final_states, classic.final_states);
-      EXPECT_EQ(stealing.observable_streams, classic.observable_streams);
-      EXPECT_EQ(stealing.complete, classic.complete);
-      EXPECT_EQ(stealing.may_not_terminate, classic.may_not_terminate);
-      EXPECT_EQ(stealing.steps_taken, classic.steps_taken);
-      // The shared interner makes the visit accounting thread-invariant:
-      // these were per-shard (and schedule-dependent) before.
-      EXPECT_EQ(stealing.states_visited, classic.states_visited);
-      EXPECT_EQ(stealing.stats.states_interned, classic.stats.states_interned);
-      EXPECT_EQ(stealing.stats.interner_hits, classic.stats.interner_hits);
-      EXPECT_EQ(stealing.stats.delta_reverts, classic.stats.delta_reverts);
-      EXPECT_EQ(stealing.stats.canonicalization_bytes,
-                classic.stats.canonicalization_bytes);
-      EXPECT_EQ(stealing.stats.por_pruned_orders,
-                classic.stats.por_pruned_orders);
-      // Every state is visited at its classic tree depth (a thief's
-      // replayed prefix counts toward its depth), so even the stack peak
-      // is schedule-invariant.
-      EXPECT_EQ(stealing.stats.peak_stack_depth,
-                classic.stats.peak_stack_depth);
+      ExpectMatchesClassic(stealing, classic);
       // The run fit the default budget, so the parallel attempt itself
       // must have produced the answer (no classic rerun).
       EXPECT_EQ(stealing.stats.parallel_fallbacks, 0);
+      // 325 steps pass the 64-step threshold: all three helpers start.
+      EXPECT_EQ(stealing.stats.helper_threads, 3);
     }
+  }
+}
+
+// A tree under the 64-step threshold runs entirely on the calling thread:
+// no helper starts even at eight workers, and the result is still the
+// classic one.
+TEST_F(WorkStealingExplorerTest, SmallTreeStartsNoHelpers) {
+  Load("create table a (x int);",
+       "create rule w1 on a when inserted then update a set x = 1; "
+       "create rule w2 on a when inserted then update a set x = 2; "
+       "create rule w3 on a when inserted then select 9 from a;");
+  for (auto backend : kBackends) {
+    for (auto por : {ExplorerOptions::PorMode::kOff,
+                     ExplorerOptions::PorMode::kCommute}) {
+      SCOPED_TRACE("backend=" + BackendName(backend) + " por=" +
+                   std::to_string(por == ExplorerOptions::PorMode::kCommute));
+      ExplorerOptions options;
+      options.backend = backend;
+      options.por = por;
+      options.num_threads = 0;
+      ExplorationResult classic = Explore(options);
+      ASSERT_TRUE(classic.complete);
+      ASSERT_GT(classic.steps_taken, 1);
+      ASSERT_LT(classic.steps_taken, 64);
+      options.num_threads = 8;
+      ExplorationResult stealing = Explore(options);
+      ExpectMatchesClassic(stealing, classic);
+      EXPECT_EQ(stealing.stats.helper_threads, 0);
+      EXPECT_EQ(stealing.stats.steals, 0);
+      EXPECT_EQ(stealing.stats.parallel_fallbacks, 0);
+    }
+  }
+}
+
+// A budget the helpers outlive: it trips after all of them started, the
+// parallel attempt is discarded, and the classic truncated result comes
+// back verbatim — with every helper joined before the rerun.
+TEST_F(WorkStealingExplorerTest, BudgetTripAfterHelpersStartFallsBack) {
+  Load("create table a (x int);", kFiveWayRules);
+  for (auto backend : kBackends) {
+    SCOPED_TRACE("backend=" + BackendName(backend));
+    ExplorerOptions options;
+    options.backend = backend;
+    options.por = ExplorerOptions::PorMode::kOff;
+    options.max_total_steps = 100;  // past the threshold, short of 325
+    options.num_threads = 0;
+    ExplorationResult classic = Explore(options);
+    ASSERT_FALSE(classic.complete);
+    for (int iteration = 0; iteration < 3; ++iteration) {
+      options.num_threads = 4;
+      ExplorationResult stealing = Explore(options);
+      ExpectMatchesClassic(stealing, classic);
+      EXPECT_EQ(stealing.stats.parallel_fallbacks, 1);
+      EXPECT_EQ(stealing.stats.helper_threads, 3);
+    }
+  }
+}
+
+// The helper count reaches the metrics registry as the
+// explorer.helper_threads gauge: it depends on num_threads, so it must stay
+// out of the counters that the determinism tests compare byte for byte.
+TEST_F(WorkStealingExplorerTest, HelperThreadsFlushAsGaugeNotCounter) {
+  Load("create table a (x int);", kFiveWayRules);
+  metrics::Reset();
+  ExplorerOptions options;
+  options.por = ExplorerOptions::PorMode::kOff;
+  options.collect_metrics = true;
+  options.num_threads = 4;
+  ExplorationResult stealing = Explore(options);
+  ASSERT_EQ(stealing.stats.helper_threads, 3);
+  metrics::Snapshot snapshot = metrics::Collect();
+  EXPECT_EQ(metrics::CountersToJson(snapshot).find("helper_threads"),
+            std::string::npos);
+  bool found = false;
+  for (const auto& [name, value] : snapshot.gauges) {
+    if (name != "explorer.helper_threads") continue;
+    found = true;
+    EXPECT_EQ(value, 3);
+  }
+  EXPECT_TRUE(found);
+}
+
+// A budget under the threshold trips while worker 0 is still alone.
+TEST_F(WorkStealingExplorerTest, BudgetTripBeforeThresholdStartsNoHelpers) {
+  Load("create table a (x int);", kFiveWayRules);
+  for (auto backend : kBackends) {
+    SCOPED_TRACE("backend=" + BackendName(backend));
+    ExplorerOptions options;
+    options.backend = backend;
+    options.por = ExplorerOptions::PorMode::kOff;
+    options.max_total_steps = 30;
+    options.num_threads = 0;
+    ExplorationResult classic = Explore(options);
+    ASSERT_FALSE(classic.complete);
+    options.num_threads = 4;
+    ExplorationResult stealing = Explore(options);
+    ExpectMatchesClassic(stealing, classic);
+    EXPECT_EQ(stealing.stats.parallel_fallbacks, 1);
+    EXPECT_EQ(stealing.stats.helper_threads, 0);
+    EXPECT_EQ(stealing.stats.steals, 0);
   }
 }
 
