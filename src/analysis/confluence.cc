@@ -199,13 +199,17 @@ ConfluenceReport SparseConfluenceAnalyzer::Analyze(bool termination_guaranteed,
   ConfluenceReport report;
   report.termination_guaranteed = termination_guaranteed;
   report.requirement_holds = true;
+  // Slots: retired ones (empty rows, no edges, no noncommute partners) are
+  // skipped, and pair counts are over the `live` rules.
   int n = prelim_.num_rules();
+  int64_t live = 0;
 
   // can-seed(x): some rule triggered by x has a rule below it in P — the
   // only way the pair's first Definition 6.5 growth step can fire.
   std::vector<bool> can_seed(n, false);
   std::vector<RuleIndex> seeds;  // ascending
   for (RuleIndex x = 0; x < n; ++x) {
+    if (!prelim_.retired(x)) ++live;
     for (RuleIndex w : prelim_.Triggers(x)) {
       if (priority_.HasLowerRule(w)) {
         can_seed[x] = true;
@@ -224,9 +228,12 @@ ConfluenceReport SparseConfluenceAnalyzer::Analyze(bool termination_guaranteed,
   RuleIndex stop_a = -1, stop_b = -1;
   std::vector<RuleIndex> partners;
   for (RuleIndex a = 0; a < n && !truncated; ++a) {
+    if (prelim_.retired(a)) continue;
     partners.clear();
     if (can_seed[a]) {
-      for (RuleIndex b = a + 1; b < n; ++b) partners.push_back(b);
+      for (RuleIndex b = a + 1; b < n; ++b) {
+        if (!prelim_.retired(b)) partners.push_back(b);
+      }
     } else {
       // Only growable pairs (partner can seed) and noncommuting singleton
       // pairs can produce violations; merge both sorted lists above `a`.
@@ -290,21 +297,23 @@ ConfluenceReport SparseConfluenceAnalyzer::Analyze(bool termination_guaranteed,
     // lexicographic order — skipped pairs never mutate the report, so the
     // stopping pair matches the dense scan and the count is reconstructed
     // in closed form from the priority order.
-    long count = 0;
+    int64_t count = 0;
+    int64_t rank = 0;  // live rules before x
     for (RuleIndex x = 0; x < stop_a; ++x) {
-      count += (n - 1 - x) - priority_.NumOrderedPartnersAbove(x);
+      if (prelim_.retired(x)) continue;
+      count += (live - 1 - rank) - priority_.NumOrderedPartnersAbove(x);
+      ++rank;
     }
     for (RuleIndex y = stop_a + 1; y <= stop_b; ++y) {
-      if (priority_.Unordered(stop_a, y)) ++count;
+      if (!prelim_.retired(y) && priority_.Unordered(stop_a, y)) ++count;
     }
-    report.unordered_pairs_checked = static_cast<int>(count);
+    report.unordered_pairs_checked = count;
     report.max_set_size = std::max<size_t>(report.max_set_size, 1);
     report.confluent = false;
     return report;
   }
-  long total =
-      static_cast<long>(n) * (n - 1) / 2 - priority_.num_ordered_pairs();
-  report.unordered_pairs_checked = static_cast<int>(total);
+  int64_t total = live * (live - 1) / 2 - priority_.num_ordered_pairs();
+  report.unordered_pairs_checked = total;
   if (total > 0) report.max_set_size = std::max<size_t>(report.max_set_size, 1);
   report.confluent = report.requirement_holds && termination_guaranteed;
   return report;

@@ -1,6 +1,7 @@
 #ifndef STARBURST_ANALYSIS_CONFLUENCE_H_
 #define STARBURST_ANALYSIS_CONFLUENCE_H_
 
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -37,7 +38,7 @@ struct ConfluenceReport {
   bool confluent = false;
   std::vector<ConfluenceViolation> violations;
   /// Statistics for experiments.
-  int unordered_pairs_checked = 0;
+  int64_t unordered_pairs_checked = 0;
   size_t max_set_size = 0;  // largest |R1| or |R2| encountered
 };
 
@@ -96,9 +97,11 @@ class ConfluenceAnalyzer {
 ///     noncommute[a]).
 /// Every other unordered pair keeps singleton sets {a}, {b} that commute,
 /// so it contributes to the statistics but cannot produce a violation; the
-/// statistics are reconstructed in closed form. Verdicts, violations (and
-/// their order), and statistics are bit-identical to ConfluenceAnalyzer
-/// over the same rule set.
+/// statistics are reconstructed in closed form. Retired slots of the prelim
+/// (PrelimAnalysis::RetireRule) are skipped and the closed forms count live
+/// rules only, so with rule indices read as ranks among the live slots,
+/// verdicts, violations (and their order), and statistics are bit-identical
+/// to ConfluenceAnalyzer over the live rules.
 class SparseConfluenceAnalyzer {
  public:
   /// `noncommute[i]` must be the sorted list of rules j ≠ i that fail the

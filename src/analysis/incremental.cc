@@ -3,30 +3,61 @@
 #include <cstdint>
 #include <utility>
 
-#include "analysis/priority.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 
 namespace starburst {
 
+namespace {
+
+void EraseSorted(std::vector<RuleIndex>* row, RuleIndex r) {
+  auto it = std::lower_bound(row->begin(), row->end(), r);
+  if (it != row->end() && *it == r) row->erase(it);
+}
+
+/// Rewrites the slot indices of both reports as ranks (`rank[slot]`). The
+/// map is increasing over live slots, so sorted lists stay sorted and the
+/// violation order is unchanged.
+void SlotsToRanks(const std::vector<RuleIndex>& rank,
+                  TerminationReport* termination,
+                  ConfluenceReport* confluence) {
+  auto remap = [&](std::vector<RuleIndex>* rules) {
+    for (RuleIndex& r : *rules) r = rank[r];
+  };
+  for (CycleReport& cycle : termination->cycles) {
+    remap(&cycle.rules);
+    remap(&cycle.certified);
+  }
+  for (ConfluenceViolation& v : confluence->violations) {
+    v.pair_i = rank[v.pair_i];
+    v.pair_j = rank[v.pair_j];
+    v.r1 = rank[v.r1];
+    v.r2 = rank[v.r2];
+    remap(&v.set_r1);
+    remap(&v.set_r2);
+    for (NoncommutativityCause& cause : v.causes) {
+      cause.actor = rank[cause.actor];
+      cause.affected = rank[cause.affected];
+    }
+  }
+}
+
+}  // namespace
+
 IncrementalAnalyzer::IncrementalAnalyzer(
     const Schema* schema, CommutativityCertifications certifications)
     : schema_(schema), certifications_(std::move(certifications)) {}
 
-const std::string& IncrementalAnalyzer::rule_name(RuleIndex i) const {
-  return prelim_.rule(i).name;
-}
-
 void IncrementalAnalyzer::RebuildPriorityEdges() {
   int n = prelim_.num_rules();
   prio_out_.assign(n, {});
-  have_dangling_ = false;
+  bool have_dangling = false;
   for (int i = 0; i < n; ++i) {
     for (const std::string& other : rules_[i].precedes) {
       RuleIndex j = prelim_.FindRule(other);
       if (j < 0) {
-        have_dangling_ = true;
+        have_dangling = true;
         continue;
       }
       prio_out_[i].push_back(j);
@@ -34,13 +65,13 @@ void IncrementalAnalyzer::RebuildPriorityEdges() {
     for (const std::string& other : rules_[i].follows) {
       RuleIndex j = prelim_.FindRule(other);
       if (j < 0) {
-        have_dangling_ = true;
+        have_dangling = true;
         continue;
       }
       prio_out_[j].push_back(i);
     }
   }
-  prio_edges_stale_ = have_dangling_;
+  prio_edges_stale_ = have_dangling;
 }
 
 Status IncrementalAnalyzer::CheckPriorityAcyclic(
@@ -89,6 +120,11 @@ Status IncrementalAnalyzer::CheckPriorityAcyclic(
       "partial order");
 }
 
+bool IncrementalAnalyzer::InPriorityOrder(const RuleDef& rule) const {
+  return !rule.precedes.empty() || !rule.follows.empty() ||
+         clause_refs_.count(ToLower(rule.name)) > 0;
+}
+
 Status IncrementalAnalyzer::AddRule(RuleDef rule) {
   if (prelim_.FindRule(rule.name) >= 0) {
     return Status::SemanticError("duplicate rule name '" + rule.name + "'");
@@ -131,6 +167,14 @@ Status IncrementalAnalyzer::AddRule(RuleDef rule) {
   STARBURST_RETURN_IF_ERROR(CheckPriorityAcyclic(out_targets, in_sources));
 
   // Commit.
+  if (InPriorityOrder(rule)) {
+    priority_.reset();
+  } else if (priority_.has_value()) {
+    priority_->AppendUnorderedRule();
+  }
+  for (const auto* clause : {&rule.precedes, &rule.follows}) {
+    for (const std::string& other : *clause) ++clause_refs_[ToLower(other)];
+  }
   RuleIndex n = prelim_.AppendComputed(std::move(computed).value());
   rules_.push_back(std::move(rule));
   term_cache_.rule_versions[ToLower(rules_.back().name)] = next_version_++;
@@ -150,28 +194,74 @@ Status IncrementalAnalyzer::RemoveRule(const std::string& name) {
   if (r < 0) return Status::NotFound("no rule named '" + name + "'");
   overlap_pairs_ -=
       static_cast<long>(prelim_.index().OverlapCandidates(r).size());
-  for (std::vector<RuleIndex>& row : noncommute_) {
-    auto it = std::lower_bound(row.begin(), row.end(), r);
-    if (it != row.end() && *it == r) it = row.erase(it);
-    for (; it != row.end(); ++it) --*it;
+  for (RuleIndex partner : noncommute_[r]) {
+    EraseSorted(&noncommute_[partner], r);
   }
-  noncommute_.erase(noncommute_.begin() + r);
-  dirty_.erase(dirty_.begin() + r);
-  term_cache_.rule_versions.erase(ToLower(rules_[r].name));
-  rules_.erase(rules_.begin() + r);
-  prelim_.RemoveRuleAt(r);
-  // Indices shifted; rebuild the direct priority edges lazily.
-  prio_out_.clear();
-  prio_edges_stale_ = true;
+  noncommute_[r] = {};
+  dirty_[r] = 0;
+  const RuleDef& rule = rules_[r];
+  if (InPriorityOrder(rule)) {
+    // Its edges are unlinked by a rebuild, and the order is rebuilt by the
+    // next Analyze() (which reports any clause left dangling).
+    priority_.reset();
+    prio_out_.clear();
+    prio_edges_stale_ = true;
+  }
+  for (const auto* clause : {&rule.precedes, &rule.follows}) {
+    for (const std::string& other : *clause) {
+      auto it = clause_refs_.find(ToLower(other));
+      if (--it->second == 0) clause_refs_.erase(it);
+    }
+  }
+  term_cache_.rule_versions.erase(ToLower(rule.name));
+  rules_[r] = RuleDef{};
+  prelim_.RetireRule(r);
+  ++retired_;
+  if (retired_ > kCompactionRatio * num_rules()) Compact();
   return Status::OK();
+}
+
+void IncrementalAnalyzer::Compact() {
+  std::vector<RuleIndex> new_index = prelim_.Compact();
+  size_t kept = 0;
+  for (size_t r = 0; r < new_index.size(); ++r) {
+    if (new_index[r] < 0) continue;
+    if (kept != r) {
+      rules_[kept] = std::move(rules_[r]);
+      noncommute_[kept] = std::move(noncommute_[r]);
+      dirty_[kept] = dirty_[r];
+      if (!prio_edges_stale_) prio_out_[kept] = std::move(prio_out_[r]);
+    }
+    for (RuleIndex& partner : noncommute_[kept]) partner = new_index[partner];
+    if (!prio_edges_stale_) {
+      for (RuleIndex& lower : prio_out_[kept]) lower = new_index[lower];
+    }
+    ++kept;
+  }
+  rules_.resize(kept);
+  noncommute_.resize(kept);
+  dirty_.resize(kept);
+  if (!prio_edges_stale_) prio_out_.resize(kept);
+  for (RuleIndex& slot : slot_of_rank_) slot = new_index[slot];
+  std::erase(slot_of_rank_, -1);
+  // The next Analyze() rebuilds the order; compaction is too rare for a
+  // remap of its closure to pay off.
+  priority_.reset();
+  retired_ = 0;
+  ++compactions_;
+  STARBURST_METRIC_COUNT("analysis.slot_compactions", 1);
 }
 
 Result<IncrementalAnalyzer::RunResult> IncrementalAnalyzer::Analyze(
     const TerminationCertifications& certs, int max_violations) {
-  // Full clause resolution every analysis: this is where dangling
-  // precedes/follows left by RemoveRule surface as errors.
-  STARBURST_ASSIGN_OR_RETURN(PriorityOrder priority,
-                             PriorityOrder::Build(prelim_, rules_));
+  if (!priority_.has_value()) {
+    // Full clause resolution after an edit that touched the clauses: this
+    // is where dangling precedes/follows left by RemoveRule surface as
+    // errors. Retired slots hold no clauses.
+    STARBURST_ASSIGN_OR_RETURN(PriorityOrder built,
+                               PriorityOrder::Build(prelim_, rules_));
+    priority_ = std::move(built);
+  }
   RunResult result;
 
   // Pair sweep over dirty rules only. A dirty rule is always newly added
@@ -231,11 +321,28 @@ Result<IncrementalAnalyzer::RunResult> IncrementalAnalyzer::Analyze(
   result.stats.termination_components_reused = term_cache_.hits - hits_before;
   result.stats.termination_components_recomputed =
       term_cache_.misses - misses_before;
+  STARBURST_METRIC_COUNT("analysis.component_cache_hits",
+                         result.stats.termination_components_reused);
+  STARBURST_METRIC_COUNT("analysis.component_cache_misses",
+                         result.stats.termination_components_recomputed);
 
-  SparseConfluenceAnalyzer confluence(prelim_, priority, noncommute_,
+  SparseConfluenceAnalyzer confluence(prelim_, *priority_, noncommute_,
                                       certifications_);
   result.confluence =
       confluence.Analyze(result.termination.guaranteed, max_violations);
+
+  // Dense indices are ranks among the live slots.
+  slot_of_rank_.clear();
+  for (RuleIndex slot = 0; slot < n; ++slot) {
+    if (!prelim_.retired(slot)) slot_of_rank_.push_back(slot);
+  }
+  if (retired_ > 0) {
+    std::vector<RuleIndex> rank(n, -1);
+    for (size_t i = 0; i < slot_of_rank_.size(); ++i) {
+      rank[slot_of_rank_[i]] = static_cast<RuleIndex>(i);
+    }
+    SlotsToRanks(rank, &result.termination, &result.confluence);
+  }
   return result;
 }
 

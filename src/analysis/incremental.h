@@ -3,11 +3,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/commutativity.h"
 #include "analysis/confluence.h"
+#include "analysis/priority.h"
 #include "analysis/termination.h"
 #include "common/status.h"
 #include "rulelang/ast.h"
@@ -44,44 +47,85 @@ struct IncrementalStats {
 ///     an edit only components containing an edited rule (dirty SCCs)
 ///     recompute (TerminationComponentCache).
 ///
+/// Every rule lives in a *slot* from AddRule() to RemoveRule(). Slots are
+/// handed out in registration order and never move on removal:
+/// RemoveRule() retires the slot in place, unlinking the rule only from its
+/// noncommute partners, from the Triggers rows of the rules touching its
+/// table, from its footprint buckets and from the name index
+/// (PrelimAnalysis::RetireRule) — the cost is the rule's neighbourhood, not
+/// the catalog. The public dense indices (num_rules(), rule_name(),
+/// PairCommutes(), every report field) are a slot's rank among the live
+/// slots, remapped once per Analyze(), so reports equal a from-scratch
+/// analysis of the live rules in registration order. Once retired slots
+/// exceed kCompactionRatio times the live rules, one compaction pass
+/// renumbers the slots densely, keeping every pair verdict: a removal
+/// costs O(1) extra on average and the slots stay within twice the live
+/// rules.
+///
+/// The priority order and the direct priority edges are kept across
+/// Analyze() calls. Only an edit that adds or removes a rule with a
+/// precedes/follows clause, or a rule some clause names, discards them; an
+/// edit of any other rule cannot change the order.
+///
 /// Priority-clause validation at AddRule() covers the new rule's clauses
 /// (unknown names, cycles through the new rule over the committed edges).
 /// One divergence from full revalidation: a dangling clause left behind by
 /// RemoveRule() on some *other* rule no longer fails the next AddRule();
-/// it is reported by the next Analyze(), which always resolves every
-/// clause.
+/// it is reported by the next Analyze(), which resolves every clause
+/// whenever an edit touched the clauses.
 class IncrementalAnalyzer {
  public:
+  /// Compaction runs once retired slots exceed this multiple of the live
+  /// rules. At 1, slots never exceed twice the live rules.
+  static constexpr int kCompactionRatio = 1;
+
   /// The schema must outlive the analyzer.
   explicit IncrementalAnalyzer(
       const Schema* schema, CommutativityCertifications certifications = {});
 
-  /// Validates and appends a rule, updating prelim state, the footprint
-  /// index, and the Triggers relation incrementally. Fails on semantic
-  /// errors, leaving the rule set unchanged.
+  /// Validates and appends a rule in a new slot, updating prelim state,
+  /// the footprint index, and the Triggers relation incrementally. Fails
+  /// on semantic errors, leaving the rule set unchanged.
   Status AddRule(RuleDef rule);
 
-  /// Removes the named rule and drops every cached pair verdict and
-  /// termination component involving it.
+  /// Removes the named rule: retires its slot and drops every cached pair
+  /// verdict and termination component involving it.
   Status RemoveRule(const std::string& name);
 
-  int num_rules() const { return static_cast<int>(rules_.size()); }
+  /// Live rules.
+  int num_rules() const { return prelim_.num_rules() - retired_; }
+
+  /// Slots in use, retired ones included (at most twice num_rules()).
+  int num_slots() const { return prelim_.num_rules(); }
+
+  /// Compaction passes run so far.
+  long compactions() const { return compactions_; }
+
+  /// Discharge verdicts held by the termination component cache: those of
+  /// the certified cyclic components the latest Analyze() looked up.
+  size_t cached_components() const { return term_cache_.discharged.size(); }
 
   /// Single-rule validations performed by AddRule() so far — pinned by
   /// tests to show a k-rule build does O(k) validation work.
   long rule_validations() const { return rule_validations_; }
 
-  /// The rule's name (indices follow registration order, shifted down by
-  /// removals — the same indices the reports use).
-  const std::string& rule_name(RuleIndex i) const;
+  /// The rule's name by dense index: its rank in registration order among
+  /// the live rules as of the most recent Analyze() — the same indices the
+  /// reports use.
+  const std::string& rule_name(RuleIndex i) const {
+    return prelim_.rule(slot_of_rank_[i]).name;
+  }
 
   /// True when the pair is (conservatively) guaranteed to commute, with
-  /// certifications applied. Reflects the pair state as of the most recent
-  /// Analyze(); pairs involving rules added since then are unreliable.
+  /// certifications applied. Takes dense indices and reflects the pair
+  /// state as of the most recent Analyze(); pairs involving rules edited
+  /// since then are unreliable.
   bool PairCommutes(RuleIndex i, RuleIndex j) const {
     if (i == j) return true;
-    const std::vector<RuleIndex>& row = noncommute_[i];
-    if (!std::binary_search(row.begin(), row.end(), j)) return true;
+    const std::vector<RuleIndex>& row = noncommute_[slot_of_rank_[i]];
+    if (!std::binary_search(row.begin(), row.end(), slot_of_rank_[j])) {
+      return true;
+    }
     return certifications_.Contains(rule_name(i), rule_name(j));
   }
 
@@ -107,24 +151,43 @@ class IncrementalAnalyzer {
   Status CheckPriorityAcyclic(const std::vector<RuleIndex>& out_targets,
                               const std::vector<RuleIndex>& in_sources) const;
 
+  /// True when adding or removing `rule` can change the priority order:
+  /// it has a clause, or a live rule's clause names it.
+  bool InPriorityOrder(const RuleDef& rule) const;
+
+  /// Renumbers the slots densely, dropping retired ones; pair verdicts,
+  /// dirty flags and direct priority edges move with their rules.
+  void Compact();
+
   const Schema* schema_;
   CommutativityCertifications certifications_;
+  /// Rule text by slot; a retired slot holds an empty RuleDef.
   std::vector<RuleDef> rules_;
-  /// Live prelim state, updated in place by AddRule/RemoveRule.
+  /// Live prelim state by slot, updated in place by AddRule/RemoveRule.
   PrelimAnalysis prelim_;
-  /// noncommute_[i]: sorted rules j that fail the Lemma 6.1 check against
-  /// i (certifications not applied). Symmetric; covers analyzed pairs.
+  int retired_ = 0;
+  long compactions_ = 0;
+  /// Dense index -> slot, refreshed by Analyze() (and kept pointing at
+  /// live slots across a compaction).
+  std::vector<RuleIndex> slot_of_rank_;
+  /// noncommute_[i]: sorted slots j that fail the Lemma 6.1 check against
+  /// slot i (certifications not applied). Symmetric; covers analyzed pairs.
   std::vector<std::vector<RuleIndex>> noncommute_;
-  /// Rules added since the last Analyze(); their pairs need checking.
+  /// Slots added since the last Analyze(); their pairs need checking.
   std::vector<char> dirty_;
   /// Structural count of overlapping unordered pairs, maintained ±
   /// |OverlapCandidates| per edit; reused = overlap_pairs_ − computed.
   long overlap_pairs_ = 0;
   long rule_validations_ = 0;
-  /// Direct priority edges (hi -> lo) among committed rules.
+  /// Lowercased names that live rules' precedes/follows clauses name, with
+  /// the number of such references.
+  std::unordered_map<std::string, int> clause_refs_;
+  /// Direct priority edges (hi -> lo) among committed slots.
   std::vector<std::vector<RuleIndex>> prio_out_;
   bool prio_edges_stale_ = false;
-  bool have_dangling_ = false;
+  /// The priority order over the slots, kept across Analyze() calls; empty
+  /// until the next Analyze() after an edit that can change it.
+  std::optional<PriorityOrder> priority_;
   /// Per-rule versions + per-component discharge verdicts for dirty-SCC
   /// termination recompute.
   TerminationComponentCache term_cache_;

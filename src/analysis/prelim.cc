@@ -1,5 +1,7 @@
 #include "analysis/prelim.h"
 
+#include <utility>
+
 #include "common/strings.h"
 
 namespace starburst {
@@ -383,6 +385,7 @@ Result<PrelimAnalysis> PrelimAnalysis::Compute(
   // Triggers relation, enumerated sparsely through the footprint index
   // instead of the all-pairs product.
   int n = analysis.num_rules();
+  analysis.live_.assign(n, true);
   analysis.index_.Build(analysis.prelims_);
   analysis.triggers_.reserve(n);
   for (RuleIndex i = 0; i < n; ++i) {
@@ -395,6 +398,7 @@ Result<PrelimAnalysis> PrelimAnalysis::Compute(
 RuleIndex PrelimAnalysis::AppendComputed(RulePrelim prelim) {
   RuleIndex n = num_rules();
   prelims_.push_back(std::move(prelim));
+  live_.push_back(true);
   index_.Append(prelims_[n]);
   name_index_[ToLower(prelims_[n].name)] = n;
   // In-edges: only rules touching the new rule's table can perform an
@@ -409,21 +413,43 @@ RuleIndex PrelimAnalysis::AppendComputed(RulePrelim prelim) {
   return n;
 }
 
-void PrelimAnalysis::RemoveRuleAt(RuleIndex r) {
-  // Drop in-edges to r and close the index gap; rows stay sorted because
-  // the erase/decrement pass preserves relative order.
-  for (std::vector<RuleIndex>& row : triggers_) {
+void PrelimAnalysis::RetireRule(RuleIndex r) {
+  // Rules that can trigger r perform an operation on r's table, so they
+  // all touch it (r itself included, for a self-loop).
+  for (RuleIndex j : index_.RulesTouching(prelims_[r].table)) {
+    std::vector<RuleIndex>& row = triggers_[j];
     auto it = std::lower_bound(row.begin(), row.end(), r);
-    if (it != row.end() && *it == r) it = row.erase(it);
-    for (; it != row.end(); ++it) --*it;
+    if (it != row.end() && *it == r) row.erase(it);
   }
-  triggers_.erase(triggers_.begin() + r);
+  triggers_[r] = {};
   name_index_.erase(ToLower(prelims_[r].name));
-  for (auto& [name, idx] : name_index_) {
-    if (idx > r) --idx;
+  index_.Retire(r);
+  prelims_[r] = RulePrelim{};
+  live_[r] = false;
+}
+
+std::vector<RuleIndex> PrelimAnalysis::Compact() {
+  std::vector<RuleIndex> new_index(prelims_.size(), -1);
+  RuleIndex kept = 0;
+  for (size_t r = 0; r < prelims_.size(); ++r) {
+    if (!retired(static_cast<RuleIndex>(r))) new_index[r] = kept++;
   }
-  prelims_.erase(prelims_.begin() + r);
-  index_.Remove(r);
+  for (size_t r = 0; r < prelims_.size(); ++r) {
+    RuleIndex to = new_index[r];
+    if (to < 0) continue;
+    if (static_cast<size_t>(to) != r) {
+      prelims_[to] = std::move(prelims_[r]);
+      triggers_[to] = std::move(triggers_[r]);
+    }
+    // The map is increasing, so rows stay sorted.
+    for (RuleIndex& j : triggers_[to]) j = new_index[j];
+  }
+  prelims_.resize(kept);
+  live_.assign(kept, true);
+  triggers_.resize(kept);
+  for (auto& [name, idx] : name_index_) idx = new_index[idx];
+  index_.Compact(new_index);
+  return new_index;
 }
 
 std::vector<RuleIndex> PrelimAnalysis::CanUntrigger(

@@ -57,9 +57,20 @@ class PrelimAnalysis {
   static Result<RulePrelim> ComputeRule(const Schema& schema,
                                         const RuleDef& rule);
 
+  /// Rule slots: every rule index is below this. It equals the number of
+  /// rules unless some were retired (RetireRule), which only the
+  /// incremental analyzer does.
   int num_rules() const { return static_cast<int>(prelims_.size()); }
   const RulePrelim& rule(RuleIndex i) const { return prelims_[i]; }
   const std::vector<RulePrelim>& rules() const { return prelims_; }
+
+  /// True when slot `r` was retired: it holds an empty RulePrelim, no
+  /// Triggers edge starts or ends there, and no name or bucket points to it.
+  bool retired(RuleIndex r) const { return !live_[r]; }
+
+  /// Per slot, true unless retired: a dense mask, so scans over every slot
+  /// do not touch the RulePrelims.
+  const std::vector<bool>& live_mask() const { return live_; }
 
   /// Triggers(r): rules that can become triggered by r's action
   /// (Performs(r) ∩ Triggered-By(r') ≠ ∅), possibly including r itself.
@@ -67,6 +78,11 @@ class PrelimAnalysis {
   /// prelim.cc); TriggeringGraph::HasEdge binary-searches them.
   const std::vector<RuleIndex>& Triggers(RuleIndex r) const {
     return triggers_[r];
+  }
+
+  /// Every Triggers() row, indexed by rule (TriggeringGraph borrows them).
+  const std::vector<std::vector<RuleIndex>>& triggers_rows() const {
+    return triggers_;
   }
 
   /// True iff rj ∈ Triggers(ri). O(log |Triggers(ri)|) over the sorted
@@ -97,9 +113,17 @@ class PrelimAnalysis {
   /// incrementally. Precondition: the name is not already present.
   RuleIndex AppendComputed(RulePrelim prelim);
 
-  /// Removes rule `r`; every index above `r` shifts down by one. The
-  /// Triggers relation and the footprint index are updated in place.
-  void RemoveRuleAt(RuleIndex r);
+  /// Retires rule `r` in place; no other rule moves. Its in-edges are
+  /// dropped from the Triggers rows of the rules touching its table (the
+  /// only rules that can trigger it), and it leaves its footprint buckets
+  /// and the name index — O(|RulesTouching(table)| + footprint), not
+  /// O(rules). The slot keeps an empty RulePrelim until Compact().
+  void RetireRule(RuleIndex r);
+
+  /// Renumbers the live rules densely, in slot order, dropping retired
+  /// slots in one O(rules + edges) pass. Returns the old -> new index map
+  /// (-1 for a retired slot).
+  std::vector<RuleIndex> Compact();
 
   /// Returns a copy with the Section 8 extensions Reads_obs / Performs_obs:
   /// every observable rule additionally performs (I, Obs) and reads Obs.c,
@@ -115,6 +139,7 @@ class PrelimAnalysis {
   std::vector<RuleIndex> ComputeTriggersRow(RuleIndex i) const;
 
   std::vector<RulePrelim> prelims_;
+  std::vector<bool> live_;
   std::vector<std::vector<RuleIndex>> triggers_;
   RuleFootprintIndex index_;
   std::unordered_map<std::string, RuleIndex> name_index_;  // lowercased

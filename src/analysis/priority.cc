@@ -45,7 +45,7 @@ Status PriorityOrder::CloseAndCheck(const PrelimAnalysis* prelim) {
     }
   }
   for (RuleIndex i = 0; i < n_; ++i) {
-    ordered_pairs_ += static_cast<long>(below_[i].size());
+    ordered_pairs_ += static_cast<int64_t>(below_[i].size());
     // Transpose: i ascending keeps each above_ row sorted.
     for (RuleIndex j : below_[i]) above_[j].push_back(i);
   }

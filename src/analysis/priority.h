@@ -2,6 +2,7 @@
 #define STARBURST_ANALYSIS_PRIORITY_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,12 +58,11 @@ class PriorityOrder {
   /// Number of partners j with index j > ri that are ordered relative to
   /// ri (either direction). Supports the truncated unordered-pair count in
   /// the sparse confluence scan.
-  int NumOrderedPartnersAbove(RuleIndex ri) const {
+  int64_t NumOrderedPartnersAbove(RuleIndex ri) const {
     const std::vector<RuleIndex>& up = above_[ri];
     const std::vector<RuleIndex>& down = below_[ri];
-    return static_cast<int>(
-        (up.end() - std::upper_bound(up.begin(), up.end(), ri)) +
-        (down.end() - std::upper_bound(down.begin(), down.end(), ri)));
+    return (up.end() - std::upper_bound(up.begin(), up.end(), ri)) +
+           (down.end() - std::upper_bound(down.begin(), down.end(), ri));
   }
 
   /// Choose(R') of Section 3: the triggered rules in `triggered` with no
@@ -70,7 +70,16 @@ class PriorityOrder {
   std::vector<RuleIndex> Choose(const std::vector<RuleIndex>& triggered) const;
 
   /// Number of ordered pairs (i, j) with i > j.
-  int num_ordered_pairs() const { return static_cast<int>(ordered_pairs_); }
+  int64_t num_ordered_pairs() const { return ordered_pairs_; }
+
+  /// Appends a rule ordered relative to no other rule as index
+  /// num_rules(), so an order can follow an edit that adds a rule without
+  /// precedes/follows clauses instead of being rebuilt.
+  void AppendUnorderedRule() {
+    ++n_;
+    below_.emplace_back();
+    above_.emplace_back();
+  }
 
  private:
   /// Closes the direct-edge lists under transitivity and checks strictness.
@@ -80,7 +89,7 @@ class PriorityOrder {
   int n_ = 0;
   std::vector<std::vector<RuleIndex>> below_;  // below_[i]: sorted {j : i > j}
   std::vector<std::vector<RuleIndex>> above_;  // above_[i]: sorted {j : j > i}
-  long ordered_pairs_ = 0;
+  int64_t ordered_pairs_ = 0;
 };
 
 }  // namespace starburst

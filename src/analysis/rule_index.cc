@@ -1,6 +1,7 @@
 #include "analysis/rule_index.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/prelim.h"
 
@@ -54,19 +55,28 @@ void RuleFootprintIndex::Append(const RulePrelim& prelim) {
   on_table_[prelim.table].push_back(r);
 }
 
-void RuleFootprintIndex::Remove(RuleIndex r) {
+void RuleFootprintIndex::Retire(RuleIndex r) {
   for (TableId t : footprints_[r]) EraseSorted(&touching_[t], r);
   EraseSorted(&on_table_[own_table_[r]], r);
-  footprints_.erase(footprints_.begin() + r);
-  own_table_.erase(own_table_.begin() + r);
-  for (auto& [table, rules] : touching_) {
-    for (RuleIndex& rule : rules) {
-      if (rule > r) --rule;
+  footprints_[r] = {};
+  own_table_[r] = kInvalidTableId;
+}
+
+void RuleFootprintIndex::Compact(const std::vector<RuleIndex>& new_index) {
+  size_t kept = 0;
+  for (size_t r = 0; r < footprints_.size(); ++r) {
+    if (new_index[r] < 0) continue;
+    if (kept != r) {
+      footprints_[kept] = std::move(footprints_[r]);
+      own_table_[kept] = own_table_[r];
     }
+    ++kept;
   }
-  for (auto& [table, rules] : on_table_) {
-    for (RuleIndex& rule : rules) {
-      if (rule > r) --rule;
+  footprints_.resize(kept);
+  own_table_.resize(kept);
+  for (auto* buckets : {&touching_, &on_table_}) {
+    for (auto& [table, rules] : *buckets) {
+      for (RuleIndex& rule : rules) rule = new_index[rule];
     }
   }
 }

@@ -28,9 +28,12 @@ struct RulePrelim;
 /// and need neither a pair check nor a cache entry; pair enumeration walks
 /// only OverlapCandidates().
 ///
-/// The index is maintained incrementally at rule registration: Append() is
-/// O(footprint) and Remove() is O(index size) (bucket reindexing). All
-/// bucket vectors are kept sorted ascending.
+/// The index is maintained incrementally: Append() is O(footprint), and
+/// Retire() takes a rule out of its footprint buckets in O(footprint ·
+/// bucket size) without moving any other rule. A retired rule keeps its
+/// slot (an empty footprint) until Compact() renumbers the live rules
+/// densely in O(index size). All bucket vectors are kept sorted ascending
+/// and hold live rules only.
 class RuleFootprintIndex {
  public:
   /// The footprint of one rule's prelim sets: sorted, deduplicated tables.
@@ -45,9 +48,16 @@ class RuleFootprintIndex {
   /// new index is the maximum.
   void Append(const RulePrelim& prelim);
 
-  /// Removes rule `r`; every index above `r` shifts down by one.
-  void Remove(RuleIndex r);
+  /// Retires rule `r` in place: it leaves every bucket and its footprint
+  /// is cleared; no other index moves.
+  void Retire(RuleIndex r);
 
+  /// Renumbers the rules: rule r moves to `new_index[r]`, and rules mapped
+  /// to -1 (retired ones) are dropped. The map must be increasing over the
+  /// kept rules, so buckets stay sorted.
+  void Compact(const std::vector<RuleIndex>& new_index);
+
+  /// Rule slots, retired ones included.
   int num_rules() const { return static_cast<int>(footprints_.size()); }
 
   /// The rule's footprint tables (sorted ascending).

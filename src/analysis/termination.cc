@@ -1,5 +1,7 @@
 #include "analysis/termination.h"
 
+#include <utility>
+
 #include "common/strings.h"
 
 namespace starburst {
@@ -36,6 +38,7 @@ TerminationReport AnalyzeGraph(const PrelimAnalysis& prelim,
                                const TerminationCertifications& certs,
                                TerminationComponentCache* cache = nullptr) {
   TerminationReport report;
+  std::map<std::string, bool> looked_up;  // replaces cache->discharged
   auto cyclic = graph.CyclicComponents();
   report.acyclic = cyclic.empty();
   report.guaranteed = true;
@@ -61,14 +64,15 @@ TerminationReport AnalyzeGraph(const PrelimAnalysis& prelim,
       } else {
         ++cache->misses;
         cycle.discharged = graph.AcyclicWithout(cycle.rules, cycle.certified);
-        cache->discharged.emplace(std::move(key), cycle.discharged);
       }
+      looked_up.emplace(std::move(key), cycle.discharged);
     } else {
       cycle.discharged = graph.AcyclicWithout(cycle.rules, cycle.certified);
     }
     if (!cycle.discharged) report.guaranteed = false;
     report.cycles.push_back(std::move(cycle));
   }
+  if (cache != nullptr) cache->discharged = std::move(looked_up);
   return report;
 }
 

@@ -56,7 +56,9 @@ struct TerminationReport {
 struct TerminationComponentCache {
   /// Monotonic per-rule versions (lowercased name -> version).
   std::map<std::string, uint64_t> rule_versions;
-  /// Component key -> discharge verdict.
+  /// Component key -> discharge verdict. Holds exactly the keys the latest
+  /// Analyze() looked up: a key an edit invalidated names a superseded
+  /// version and can never match again, so it is dropped rather than kept.
   std::map<std::string, bool> discharged;
   long hits = 0;
   long misses = 0;

@@ -1,30 +1,23 @@
 #include "analysis/triggering_graph.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace starburst {
 
 namespace {
 
-/// HasEdge() binary-searches adjacency rows, so their sortedness is a hard
-/// invariant. PrelimAnalysis::Triggers() rows are built sorted, but the
-/// graph enforces it anyway — a cheap is_sorted scan in the common case.
-void EnsureSorted(std::vector<std::vector<RuleIndex>>* adjacency) {
-  for (std::vector<RuleIndex>& row : *adjacency) {
-    if (!std::is_sorted(row.begin(), row.end())) {
-      std::sort(row.begin(), row.end());
-    }
-  }
+[[maybe_unused]] bool RowsSorted(
+    const std::vector<std::vector<RuleIndex>>& rows) {
+  return std::all_of(rows.begin(), rows.end(), [](const auto& row) {
+    return std::is_sorted(row.begin(), row.end());
+  });
 }
 
 }  // namespace
 
-TriggeringGraph::TriggeringGraph(const PrelimAnalysis& prelim) {
-  int n = prelim.num_rules();
-  is_member_.assign(n, true);
-  adjacency_.assign(n, {});
-  for (RuleIndex i = 0; i < n; ++i) adjacency_[i] = prelim.Triggers(i);
-  EnsureSorted(&adjacency_);
+TriggeringGraph::TriggeringGraph(const PrelimAnalysis& prelim)
+    : is_member_(prelim.live_mask()), borrowed_(&prelim.triggers_rows()) {
   ComputeComponents();
 }
 
@@ -33,29 +26,33 @@ TriggeringGraph::TriggeringGraph(const PrelimAnalysis& prelim,
   int n = prelim.num_rules();
   is_member_.assign(n, false);
   for (RuleIndex r : members) is_member_[r] = true;
-  adjacency_.assign(n, {});
+  // Filtering the sorted Triggers rows keeps every row sorted.
+  owned_.assign(n, {});
   for (RuleIndex i = 0; i < n; ++i) {
     if (!is_member_[i]) continue;
     for (RuleIndex j : prelim.Triggers(i)) {
-      if (is_member_[j]) adjacency_[i].push_back(j);
+      if (is_member_[j]) owned_[i].push_back(j);
     }
   }
-  EnsureSorted(&adjacency_);
   ComputeComponents();
 }
 
 const std::vector<RuleIndex>& TriggeringGraph::OutEdges(RuleIndex r) const {
-  return adjacency_[r];
+  return rows()[r];
 }
 
 bool TriggeringGraph::HasEdge(RuleIndex from, RuleIndex to) const {
-  const auto& edges = adjacency_[from];
+  const auto& edges = rows()[from];
   return std::binary_search(edges.begin(), edges.end(), to);
 }
 
 void TriggeringGraph::ComputeComponents() {
+  // HasEdge() binary-searches adjacency rows. PrelimAnalysis keeps its
+  // Triggers rows sorted (see prelim.cc), and a subset graph filters them.
+  assert(RowsSorted(rows()));
   // Iterative Tarjan SCC, emitting into the flat comp_nodes_/comp_start_
   // arrays (no per-component heap vector).
+  const std::vector<std::vector<RuleIndex>>& adjacency = rows();
   int n = num_rules();
   comp_nodes_.clear();
   comp_start_.clear();
@@ -80,8 +77,8 @@ void TriggeringGraph::ComputeComponents() {
     on_stack[root] = true;
     while (!frames.empty()) {
       Frame& frame = frames.back();
-      if (frame.edge < adjacency_[frame.v].size()) {
-        int w = adjacency_[frame.v][frame.edge++];
+      if (frame.edge < adjacency[frame.v].size()) {
+        int w = adjacency[frame.v][frame.edge++];
         if (index[w] == -1) {
           index[w] = lowlink[w] = next_index++;
           stack.push_back(w);
@@ -144,6 +141,7 @@ std::vector<std::vector<RuleIndex>> TriggeringGraph::CyclicComponents() const {
 bool TriggeringGraph::AcyclicWithout(
     const std::vector<RuleIndex>& nodes,
     const std::vector<RuleIndex>& removed) const {
+  const std::vector<std::vector<RuleIndex>>& adjacency = rows();
   std::vector<bool> active(num_rules(), false);
   for (RuleIndex r : nodes) active[r] = true;
   for (RuleIndex r : removed) active[r] = false;
@@ -163,8 +161,8 @@ bool TriggeringGraph::AcyclicWithout(
     frames.push_back({r, 0});
     while (!frames.empty()) {
       Frame& frame = frames.back();
-      if (frame.edge < adjacency_[frame.v].size()) {
-        RuleIndex w = adjacency_[frame.v][frame.edge++];
+      if (frame.edge < adjacency[frame.v].size()) {
+        RuleIndex w = adjacency[frame.v][frame.edge++];
         if (!active[w]) continue;
         if (color[w] == Color::kGray) return false;
         if (color[w] == Color::kWhite) {

@@ -12,7 +12,9 @@ namespace starburst {
 /// rule set is guaranteed to terminate.
 class TriggeringGraph {
  public:
-  /// Builds the graph over all rules of `prelim`.
+  /// Builds the graph over all live rules of `prelim`, borrowing its
+  /// Triggers rows instead of copying them: `prelim` must outlive the graph
+  /// and stay unmodified while it is in use.
   explicit TriggeringGraph(const PrelimAnalysis& prelim);
 
   /// Builds the graph over the subset `members` only (edges within the
@@ -22,7 +24,7 @@ class TriggeringGraph {
   TriggeringGraph(const PrelimAnalysis& prelim,
                   const std::vector<RuleIndex>& members);
 
-  int num_rules() const { return static_cast<int>(adjacency_.size()); }
+  int num_rules() const { return static_cast<int>(rows().size()); }
 
   /// Out-edges of rule `r` (global rule indices, ascending).
   const std::vector<RuleIndex>& OutEdges(RuleIndex r) const;
@@ -50,8 +52,15 @@ class TriggeringGraph {
  private:
   void ComputeComponents();
 
-  std::vector<bool> is_member_;                    // global index -> in graph
-  std::vector<std::vector<RuleIndex>> adjacency_;  // global index -> edges
+  /// Adjacency rows by global index: the prelim's Triggers rows for the
+  /// full graph, `owned_` for a subset graph.
+  const std::vector<std::vector<RuleIndex>>& rows() const {
+    return borrowed_ != nullptr ? *borrowed_ : owned_;
+  }
+
+  std::vector<bool> is_member_;  // global index -> in graph
+  const std::vector<std::vector<RuleIndex>>* borrowed_ = nullptr;
+  std::vector<std::vector<RuleIndex>> owned_;
   /// Flat SCC storage: component c is comp_nodes_[comp_start_[c] ..
   /// comp_start_[c + 1]), sorted ascending; components in reverse
   /// topological order.

@@ -356,13 +356,15 @@ OracleOutcome PorEquivalence(const GeneratedRuleSet& set, uint64_t data_seed,
   return Pass();
 }
 
-/// One full-vs-incremental comparison at a given violation cap: verdicts,
-/// reports field-for-field, and (via the caller) the pair matrix must be
-/// identical. Returns an empty string on agreement, else the mismatch.
-std::string CompareFullVsIncremental(const Schema& schema,
-                                     const std::vector<RuleDef>& current,
-                                     IncrementalAnalyzer* inc,
-                                     int max_violations) {
+/// One full-vs-incremental comparison at a given violation cap, both sides
+/// under the same certifications: verdicts, reports field-for-field, and
+/// the pair matrix must be identical. Returns an empty string on
+/// agreement, else the mismatch.
+std::string CompareFullVsIncremental(
+    const Schema& schema, const std::vector<RuleDef>& current,
+    const TerminationCertifications& quiescent,
+    const CommutativityCertifications& commute, IncrementalAnalyzer* inc,
+    int max_violations) {
   // From-scratch reference analysis.
   Status full_status = Status::OK();
   auto prelim = PrelimAnalysis::Compute(schema, current);
@@ -376,7 +378,7 @@ std::string CompareFullVsIncremental(const Schema& schema,
       full_status = built.status();
     }
   }
-  auto run = inc->Analyze({}, max_violations);
+  auto run = inc->Analyze(quiescent, max_violations);
   if (!full_status.ok() || !run.ok()) {
     // Rejected states (e.g. a dangling follows left by a removal) must be
     // rejected identically by both paths.
@@ -393,8 +395,9 @@ std::string CompareFullVsIncremental(const Schema& schema,
     return "";
   }
 
-  CommutativityAnalyzer commutativity(prelim.value(), schema);
-  TerminationReport term = TerminationAnalyzer::Analyze(prelim.value());
+  CommutativityAnalyzer commutativity(prelim.value(), schema, commute);
+  TerminationReport term =
+      TerminationAnalyzer::Analyze(prelim.value(), quiescent);
   ConfluenceAnalyzer confluence(commutativity, *priority);
   ConfluenceReport conf = confluence.Analyze(term.guaranteed, max_violations);
 
@@ -467,12 +470,28 @@ std::string CompareFullVsIncremental(const Schema& schema,
 /// every rule one at a time, then apply removes / re-adds / redefinitions
 /// drawn from data_seed, comparing the incremental analyzer against a
 /// from-scratch analysis after every edit (at an unlimited and a truncated
-/// violation cap, pinning the truncation semantics too).
+/// violation cap, pinning the truncation semantics too). Both sides get
+/// the same seeded quiescent and commutativity certifications, drawn from
+/// the initial rule names (so some name removed rules), which exercises the
+/// termination component cache and certified pairs. The sequence is long
+/// enough for retired slots to outnumber the live rules, so many seeds
+/// also compare right after a compaction.
 OracleOutcome IncrementalEquivalence(const GeneratedRuleSet& set,
                                      uint64_t data_seed) {
   if (set.rules.empty()) return Skip("no rules");
   const Schema& schema = *set.schema;
-  IncrementalAnalyzer inc(set.schema.get());
+  SplitMix64 cert_rng(data_seed ^ 0x5eedce27ULL);
+  TerminationCertifications quiescent;
+  CommutativityCertifications commute;
+  const int num_initial = static_cast<int>(set.rules.size());
+  for (const RuleDef& rule : set.rules) {
+    if (cert_rng.Below(2) == 0) quiescent.quiescent_rules.insert(rule.name);
+    const RuleDef& other = set.rules[cert_rng.Below(num_initial)];
+    if (cert_rng.Below(3) == 0 && other.name != rule.name) {
+      commute.Certify(rule.name, other.name);
+    }
+  }
+  IncrementalAnalyzer inc(set.schema.get(), commute);
   std::vector<RuleDef> current;  // mirrors inc's registration order
   for (const RuleDef& rule : set.rules) {
     Status st = inc.AddRule(rule.Clone());
@@ -491,8 +510,8 @@ OracleOutcome IncrementalEquivalence(const GeneratedRuleSet& set,
   std::vector<RuleDef> removed_pool;
   auto compare_both = [&]() -> std::string {
     for (int cap : {-1, 2}) {
-      std::string mismatch =
-          CompareFullVsIncremental(schema, current, &inc, cap);
+      std::string mismatch = CompareFullVsIncremental(
+          schema, current, quiescent, commute, &inc, cap);
       if (!mismatch.empty()) return mismatch;
     }
     if (inc.num_rules() != static_cast<int>(current.size())) {
@@ -503,7 +522,7 @@ OracleOutcome IncrementalEquivalence(const GeneratedRuleSet& set,
   std::string mismatch = compare_both();
   if (!mismatch.empty()) return Fail("after initial build: " + mismatch);
 
-  constexpr int kEdits = 4;
+  constexpr int kEdits = 16;
   for (int e = 0; e < kEdits; ++e) {
     int kind = rng.Below(3);
     std::string step;

@@ -58,7 +58,9 @@ namespace fuzzing {
 ///                               unlimited and truncated violation caps)
 ///                               and the full pairwise commutativity
 ///                               matrix — across a seeded sequence of
-///                               add/remove/redefine edits.
+///                               add/remove/redefine edits, under the
+///                               same seeded quiescent and commutativity
+///                               certifications, compactions included.
 ///   kWitnessReplay              divergence provenance (analysis/witness.h)
 ///                               is complete and honest: every divergent
 ///                               exploration (>= 2 final states or

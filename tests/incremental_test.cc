@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "analysis/incremental.h"
+#include "analysis/priority.h"
 #include "rulelang/parser.h"
 
 namespace starburst {
@@ -10,6 +13,64 @@ RuleDef ParseRule(const std::string& src) {
   auto r = Parser::ParseRule(src);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? std::move(r).value() : RuleDef{};
+}
+
+std::string Indices(const std::vector<RuleIndex>& rules) {
+  std::string out = "{";
+  for (RuleIndex r : rules) out += std::to_string(r) + ",";
+  return out + "}";
+}
+
+/// Every field of both reports, rule indices included.
+std::string Digest(const TerminationReport& term,
+                   const ConfluenceReport& conf) {
+  std::string out = "guaranteed=" + std::to_string(term.guaranteed) +
+                    " acyclic=" + std::to_string(term.acyclic) + "\n";
+  for (const CycleReport& cycle : term.cycles) {
+    out += "cycle " + Indices(cycle.rules) + Indices(cycle.certified) +
+           std::to_string(cycle.discharged) + "\n";
+  }
+  out += "requirement=" + std::to_string(conf.requirement_holds) +
+         " confluent=" + std::to_string(conf.confluent) +
+         " pairs=" + std::to_string(conf.unordered_pairs_checked) +
+         " max_set=" + std::to_string(conf.max_set_size) + "\n";
+  for (const ConfluenceViolation& v : conf.violations) {
+    out += "violation " + std::to_string(v.pair_i) + "," +
+           std::to_string(v.pair_j) + " " + std::to_string(v.r1) + "," +
+           std::to_string(v.r2) + " " + Indices(v.set_r1) +
+           Indices(v.set_r2);
+    for (const NoncommutativityCause& cause : v.causes) {
+      out += " (" + std::to_string(cause.condition) + "," +
+             std::to_string(cause.actor) + "," +
+             std::to_string(cause.affected) + ")";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+std::string Digest(const IncrementalAnalyzer::RunResult& run) {
+  return Digest(run.termination, run.confluence);
+}
+
+/// A from-scratch (dense) analysis of `sources` in order; on a rejected
+/// catalog, the error instead.
+std::string ColdDigest(const Schema& schema,
+                       const std::vector<std::string>& sources,
+                       const TerminationCertifications& quiescent = {},
+                       const CommutativityCertifications& commute = {},
+                       int max_violations = -1) {
+  std::vector<RuleDef> rules;
+  for (const std::string& src : sources) rules.push_back(ParseRule(src));
+  auto prelim = PrelimAnalysis::Compute(schema, rules);
+  if (!prelim.ok()) return prelim.status().ToString();
+  auto priority = PriorityOrder::Build(prelim.value(), rules);
+  if (!priority.ok()) return priority.status().ToString();
+  CommutativityAnalyzer commutativity(prelim.value(), schema, commute);
+  TerminationReport term =
+      TerminationAnalyzer::Analyze(prelim.value(), quiescent);
+  ConfluenceAnalyzer confluence(commutativity, priority.value());
+  return Digest(term, confluence.Analyze(term.guaranteed, max_violations));
 }
 
 class IncrementalTest : public ::testing::Test {
@@ -401,6 +462,240 @@ TEST_F(IncrementalTest, VerdictsMatchFromScratchAnalysis) {
             scratch_report.requirement_holds);
   EXPECT_EQ(inc_run.value().confluence.violations.size(),
             scratch_report.violations.size());
+}
+
+// A catalog with a two-rule cycle (q, r), a self-loop (loop), a priority
+// clause (lo follows hi) and noncommuting pairs. The first and last rules
+// and r are named in no clause, so removing them leaves it analyzable.
+class SlotTest : public IncrementalTest {
+ protected:
+  void SetUp() override {
+    IncrementalTest::SetUp();
+    sources_ = InitialSources();
+    quiescent_.quiescent_rules = {"q", "loop"};
+    commute_.Certify("q", "z");
+  }
+
+  static std::vector<std::string> InitialSources() {
+    return {
+        "create rule p on t when inserted then update s set a = 1",
+        "create rule q on s when updated(a) then insert into u values (1, 2)",
+        "create rule r on u when inserted then update s set a = 2",
+        "create rule hi on t when inserted then update s set b = 1",
+        "create rule lo on t when inserted then update s set b = 2 "
+        "follows hi",
+        "create rule loop on u when deleted then delete from u",
+        "create rule z on s when inserted then update u set a = 3",
+    };
+  }
+
+  void Register(IncrementalAnalyzer* analyzer) {
+    for (const std::string& src : sources_) {
+      ASSERT_TRUE(analyzer->AddRule(ParseRule(src)).ok()) << src;
+    }
+  }
+
+  /// Removes `name` from the analyzer and from `sources_`.
+  void Remove(IncrementalAnalyzer* analyzer, const std::string& name) {
+    ASSERT_TRUE(analyzer->RemoveRule(name).ok()) << name;
+    std::erase_if(sources_, [&](const std::string& src) {
+      return src.starts_with("create rule " + name + " ");
+    });
+  }
+
+  void ExpectEqualsCold(IncrementalAnalyzer* analyzer) {
+    for (int cap : {-1, 1}) {
+      auto run = analyzer->Analyze(quiescent_, cap);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(Digest(run.value()),
+                ColdDigest(schema_, sources_, quiescent_, commute_, cap))
+          << "max_violations=" << cap;
+    }
+  }
+
+  std::vector<std::string> sources_;
+  TerminationCertifications quiescent_;
+  CommutativityCertifications commute_;
+};
+
+// Removing the first, a middle or the last rule retires its slot in place;
+// the reports still use dense indices and equal a cold analysis.
+TEST_F(SlotTest, RemoveFirstMiddleOrLastEqualsColdAnalysis) {
+  for (const char* victim : {"p", "r", "z"}) {
+    sources_ = InitialSources();
+    IncrementalAnalyzer analyzer(&schema_, commute_);
+    Register(&analyzer);
+    ExpectEqualsCold(&analyzer);
+    Remove(&analyzer, victim);
+    EXPECT_EQ(analyzer.num_rules(), 6) << victim;
+    EXPECT_EQ(analyzer.num_slots(), 7) << victim;
+    ExpectEqualsCold(&analyzer);
+  }
+}
+
+// Removing a rule that a clause names leaves the same dangling-reference
+// error as a cold analysis; re-adding it makes the catalog analyzable again.
+TEST_F(SlotTest, RemovingANamedRuleReportsTheDanglingClause) {
+  IncrementalAnalyzer analyzer(&schema_, commute_);
+  Register(&analyzer);
+  ASSERT_TRUE(analyzer.Analyze(quiescent_).ok());
+  std::string hi = sources_[3];
+  Remove(&analyzer, "hi");
+  auto run = analyzer.Analyze(quiescent_);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().message(), "rule 'lo' follows unknown rule 'hi'");
+  EXPECT_EQ(run.status().ToString(), ColdDigest(schema_, sources_));
+  // The error persists until the name is back.
+  EXPECT_FALSE(analyzer.Analyze(quiescent_).ok());
+  ASSERT_TRUE(analyzer.AddRule(ParseRule(hi)).ok());
+  sources_.push_back(hi);
+  ExpectEqualsCold(&analyzer);
+}
+
+// A removed name can be added again; it gets a fresh slot, and its pairs
+// are computed anew.
+TEST_F(SlotTest, ReaddingARemovedName) {
+  IncrementalAnalyzer analyzer(&schema_, commute_);
+  Register(&analyzer);
+  auto first = analyzer.Analyze(quiescent_);
+  ASSERT_TRUE(first.ok());
+  std::string q = sources_[1];
+  Remove(&analyzer, "q");
+  ASSERT_TRUE(analyzer.AddRule(ParseRule(q)).ok());
+  sources_.push_back(q);
+  EXPECT_EQ(analyzer.num_rules(), 7);
+  EXPECT_EQ(analyzer.num_slots(), 8);
+  auto run = analyzer.Analyze(quiescent_);
+  ASSERT_TRUE(run.ok());
+  EXPECT_GT(run.value().stats.pair_checks_computed, 0);
+  EXPECT_EQ(run.value().stats.pair_checks_computed +
+                run.value().stats.pair_checks_reused,
+            first.value().stats.pair_checks_computed);
+  ExpectEqualsCold(&analyzer);
+}
+
+// rule_name and PairCommutes take dense indices (ranks among the live
+// rules), not slots.
+TEST_F(SlotTest, DenseIndicesAfterRemovals) {
+  IncrementalAnalyzer analyzer(&schema_, commute_);
+  Register(&analyzer);
+  ASSERT_TRUE(analyzer.Analyze(quiescent_).ok());
+  Remove(&analyzer, "p");
+  Remove(&analyzer, "r");
+  ASSERT_EQ(analyzer.compactions(), 0);
+  ASSERT_TRUE(analyzer.Analyze(quiescent_).ok());
+
+  std::vector<RuleDef> rules;
+  for (const std::string& src : sources_) rules.push_back(ParseRule(src));
+  auto prelim = PrelimAnalysis::Compute(schema_, rules);
+  ASSERT_TRUE(prelim.ok());
+  CommutativityAnalyzer cold(prelim.value(), schema_, commute_);
+  ASSERT_EQ(analyzer.num_rules(), prelim.value().num_rules());
+  for (RuleIndex i = 0; i < analyzer.num_rules(); ++i) {
+    EXPECT_EQ(analyzer.rule_name(i), rules[i].name);
+    for (RuleIndex j = 0; j < analyzer.num_rules(); ++j) {
+      EXPECT_EQ(analyzer.PairCommutes(i, j), cold.Commute(i, j))
+          << rules[i].name << ", " << rules[j].name;
+    }
+  }
+  // The certified pair (q, z) commutes although Lemma 6.1 fails for it.
+  EXPECT_EQ(analyzer.rule_name(0), "q");
+  EXPECT_EQ(analyzer.rule_name(4), "z");
+  EXPECT_TRUE(analyzer.PairCommutes(0, 4));
+}
+
+// Add/remove churn: once retired slots outnumber the live rules, one
+// compaction renumbers the slots densely. The slots stay within twice the
+// live rules, compaction keeps every pair verdict, and the reports still
+// equal a cold analysis.
+TEST_F(SlotTest, ChurnCompactsWithoutRecomputingPairs) {
+  IncrementalAnalyzer analyzer(&schema_, commute_);
+  Register(&analyzer);
+  auto base = analyzer.Analyze(quiescent_);
+  ASSERT_TRUE(base.ok());
+  const long base_pairs = base.value().stats.pair_checks_computed;
+  for (int round = 0; round < 3; ++round) {
+    for (int k = 0; k < 10; ++k) {
+      std::string src = "create rule x" + std::to_string(k) +
+                        " on s when inserted then update s set a = " +
+                        std::to_string(k);
+      ASSERT_TRUE(analyzer.AddRule(ParseRule(src)).ok());
+      sources_.push_back(src);
+    }
+    ExpectEqualsCold(&analyzer);
+    for (int k = 0; k < 10; ++k) {
+      long before = analyzer.compactions();
+      Remove(&analyzer, "x" + std::to_string(k));
+      EXPECT_LE(analyzer.num_slots(), 2 * analyzer.num_rules() + 1);
+      if (analyzer.compactions() > before) {
+        EXPECT_EQ(analyzer.num_slots(), analyzer.num_rules());
+        auto run = analyzer.Analyze(quiescent_);
+        ASSERT_TRUE(run.ok());
+        EXPECT_EQ(run.value().stats.pair_checks_computed, 0);
+        ExpectEqualsCold(&analyzer);
+      }
+    }
+    auto run = analyzer.Analyze(quiescent_);
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(run.value().stats.pair_checks_computed, 0);
+    EXPECT_EQ(run.value().stats.pair_checks_reused, base_pairs);
+    ExpectEqualsCold(&analyzer);
+  }
+  EXPECT_GE(analyzer.compactions(), 2);
+}
+
+// The termination component cache keeps only the verdicts the latest
+// Analyze() looked up: redefining a rule of a certified cycle over and
+// over recomputes that one component each time, reuses the other, and
+// leaves one entry per certified cyclic component.
+TEST_F(SlotTest, ComponentCacheStaysBoundedAcrossRedefinitions) {
+  IncrementalAnalyzer analyzer(&schema_, commute_);
+  Register(&analyzer);
+  auto first = analyzer.Analyze(quiescent_);
+  ASSERT_TRUE(first.ok());
+  const size_t cyclic = first.value().termination.cycles.size();
+  ASSERT_EQ(cyclic, 2u);  // {q, r} and {loop}
+  EXPECT_TRUE(first.value().termination.guaranteed);
+  EXPECT_EQ(first.value().stats.termination_components_recomputed, 2);
+  const std::string r = sources_[2];
+  for (int edit = 0; edit < 1000; ++edit) {
+    ASSERT_TRUE(analyzer.RemoveRule("r").ok());
+    ASSERT_TRUE(analyzer.AddRule(ParseRule(r)).ok());
+    auto run = analyzer.Analyze(quiescent_);
+    ASSERT_TRUE(run.ok());
+    ASSERT_EQ(run.value().stats.termination_components_recomputed, 1);
+    ASSERT_EQ(run.value().stats.termination_components_reused, 1);
+    ASSERT_TRUE(run.value().termination.guaranteed);
+    ASSERT_LE(analyzer.cached_components(), cyclic);
+  }
+  EXPECT_GT(analyzer.compactions(), 0);
+}
+
+// Regression: the closed-form unordered pair count is 64-bit. 65,537 rules
+// on 65,537 distinct tables (no overlapping pair) give 65,537 · 65,536 / 2
+// = 2,147,516,416 unordered pairs, above INT_MAX.
+TEST(IncrementalPairCountTest, CountsAboveIntMaxDoNotOverflow) {
+  constexpr int kRules = 65537;
+  Schema schema;
+  IncrementalAnalyzer analyzer(&schema);
+  for (int i = 0; i < kRules; ++i) {
+    ASSERT_TRUE(
+        schema.AddTable("t" + std::to_string(i), {{"a", ColumnType::kInt}})
+            .ok());
+  }
+  for (int i = 0; i < kRules; ++i) {
+    ASSERT_TRUE(analyzer
+                    .AddRule(ParseRule("create rule r" + std::to_string(i) +
+                                       " on t" + std::to_string(i) +
+                                       " when inserted then rollback"))
+                    .ok());
+  }
+  auto run = analyzer.Analyze();
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run.value().stats.pair_checks_computed, 0);
+  EXPECT_TRUE(run.value().confluence.requirement_holds);
+  EXPECT_EQ(run.value().confluence.unordered_pairs_checked,
+            int64_t{2147516416});
 }
 
 }  // namespace
