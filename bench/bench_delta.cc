@@ -1,13 +1,12 @@
-// bench_delta: plain-chrono comparison of the explorer's two state
-// backends (ExplorerOptions::StateBackend) on the unordered-rules
-// workload, with a --check mode the CI perf-smoke job runs against the
-// checked-in BENCH_delta.json baseline.
+// bench_delta: plain-chrono timing of the explorer's undo-log walk on the
+// unordered-rules workload, with a --check mode the CI perf-smoke job runs
+// against the checked-in BENCH_delta.json baseline.
 //
 // Usage:
 //   bench_delta                                  print a timing report
 //   bench_delta --json                           print the report as JSON
 //   bench_delta --check FILE [--max-regression R]
-//       re-time the undo-log backend and exit 1 when it is more than R
+//       re-time the undo-log walk and exit 1 when it is more than R
 //       times slower than the baseline's undo_ns (default R = 5; the wide
 //       margin absorbs machine-to-machine variance while still catching
 //       order-of-magnitude regressions).
@@ -68,9 +67,8 @@ struct Timing {
 };
 
 /// Median-of-repetitions wall time for one full exploration.
-Timing Time(const Workload& w, ExplorerOptions::StateBackend backend) {
+Timing Time(const Workload& w) {
   ExplorerOptions options;
-  options.backend = backend;
   Timing timing;
   std::vector<double> runs;
   constexpr int kReps = 5;
@@ -134,7 +132,7 @@ int main(int argc, char** argv) {
 
   constexpr int kNumRules = 5;
   Workload workload = MakeWorkload(kNumRules);
-  Timing undo = Time(workload, ExplorerOptions::StateBackend::kUndoLog);
+  Timing undo = Time(workload);
 
   if (!check_path.empty()) {
     std::ifstream in(check_path);
@@ -151,7 +149,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     double ratio = undo.ns_per_exploration / baseline_ns;
-    std::printf("undo-log backend: %.0f ns/exploration (baseline %.0f, "
+    std::printf("undo-log walk: %.0f ns/exploration (baseline %.0f, "
                 "%.2fx, limit %.1fx)\n",
                 undo.ns_per_exploration, baseline_ns, ratio, max_regression);
     if (ratio > max_regression) {
@@ -162,12 +160,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  Timing copy = Time(workload, ExplorerOptions::StateBackend::kSnapshotCopy);
-  double speedup = copy.ns_per_exploration / undo.ns_per_exploration;
   double undo_states_per_sec =
       undo.states * 1e9 / undo.ns_per_exploration;
-  double copy_states_per_sec =
-      copy.states * 1e9 / copy.ns_per_exploration;
   if (as_json) {
     std::printf(
         "{\n"
@@ -175,24 +169,17 @@ int main(int argc, char** argv) {
         "  \"states\": %ld,\n"
         "  \"delta_reverts\": %ld,\n"
         "  \"undo_ns\": %.0f,\n"
-        "  \"copy_ns\": %.0f,\n"
-        "  \"undo_states_per_sec\": %.0f,\n"
-        "  \"copy_states_per_sec\": %.0f,\n"
-        "  \"speedup\": %.2f\n"
+        "  \"undo_states_per_sec\": %.0f\n"
         "}\n",
         kNumRules, undo.states, undo.delta_reverts, undo.ns_per_exploration,
-        copy.ns_per_exploration, undo_states_per_sec, copy_states_per_sec,
-        speedup);
+        undo_states_per_sec);
   } else {
     std::printf("workload: %d unordered rules, %ld states/exploration\n",
                 kNumRules, undo.states);
-    std::printf("undo-log backend:      %10.0f ns  (%.0f states/sec, %ld "
-                "delta reverts)\n",
+    std::printf("undo-log walk: %10.0f ns  (%.0f states/sec, %ld delta "
+                "reverts)\n",
                 undo.ns_per_exploration, undo_states_per_sec,
                 undo.delta_reverts);
-    std::printf("snapshot-copy backend: %10.0f ns  (%.0f states/sec)\n",
-                copy.ns_per_exploration, copy_states_per_sec);
-    std::printf("speedup: %.2fx\n", speedup);
   }
   return 0;
 }

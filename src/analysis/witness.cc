@@ -7,28 +7,10 @@
 
 #include "analysis/rule_index.h"
 #include "common/metrics.h"
-#include "engine/exec.h"
-#include "rulelang/parser.h"
 
 namespace starburst {
 
 namespace {
-
-/// Canonical key of an execution state for on-path cycle detection during
-/// witness reconstruction: database canonical string + '#' + each pending
-/// transition's canonical string + '|'. Matches the explorer's state
-/// equivalence exactly (explorer.cc's CanonicalStateKey), so reconstruction
-/// cuts cycles at the same states the explorer does.
-std::string ReconstructionStateKey(const RuleProcessingState& state) {
-  std::string key;
-  state.db.AppendCanonicalString(&key);
-  key += '#';
-  for (const Transition& t : state.pending) {
-    t.AppendCanonicalString(&key);
-    key += '|';
-  }
-  return key;
-}
 
 /// One terminating path found during reconstruction.
 struct FoundPath {
@@ -107,7 +89,9 @@ class Reconstructor {
       exhausted_ = true;
       return Status::OK();
     }
-    std::string key = ReconstructionStateKey(state);
+    // CanonicalStateKey draws the explorer's state equivalence, so
+    // reconstruction cuts cycles at the same states the explorer does.
+    std::string key = CanonicalStateKey(state);
     if (!on_path_.insert(key).second) return Status::OK();  // cycle: cut
     std::vector<RuleIndex> eligible = EligibleRules(catalog_, triggered);
     Status status = Status::OK();
@@ -375,18 +359,8 @@ Result<WitnessExtraction> ExtractWitnessAfterStatements(
     const ExplorerOptions& explorer_options,
     const WitnessOptions& witness_options) {
   Database db = initial_db;
-  Executor executor(&db);
-  Transition initial_transition;
-  for (const std::string& sql : user_statements) {
-    STARBURST_ASSIGN_OR_RETURN(StmtPtr stmt, Parser::ParseStatement(sql));
-    STARBURST_ASSIGN_OR_RETURN(ExecOutcome outcome,
-                               executor.Execute(*stmt, nullptr, nullptr));
-    if (outcome.rollback) {
-      return Status::InvalidArgument(
-          "user statements for witness extraction must not roll back");
-    }
-    STARBURST_RETURN_IF_ERROR(initial_transition.Compose(outcome.delta));
-  }
+  STARBURST_ASSIGN_OR_RETURN(Transition initial_transition,
+                             ApplyUserStatements(&db, user_statements));
   STARBURST_ASSIGN_OR_RETURN(
       ExplorationResult result,
       Explorer::Explore(catalog, db, initial_transition, explorer_options));

@@ -132,8 +132,8 @@ std::vector<TableId> SharedFootprintTables(const PrelimAnalysis& prelim,
 /// re-walks the execution graph deterministically (eligible rules in
 /// ascending index order, no reduction), so the two sequences found are the
 /// lexicographically-first paths to the two lexicographically-smallest
-/// divergent outcomes — stable across explorer backends, thread counts, and
-/// POR modes.
+/// divergent outcomes — stable across explorer thread counts and POR
+/// modes.
 ///
 /// Status semantics:
 ///   - result has >= 2 final states          -> kFound (kind kFinalState)

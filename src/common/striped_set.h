@@ -10,8 +10,8 @@ namespace starburst {
 
 /// A concurrent hash set striped across independently locked shards, used
 /// as the work-stealing explorer's shared visited set / interner: a state
-/// interned by ANY worker is seen by every other worker, so duplicate
-/// subtrees are counted once globally instead of once per top-level shard.
+/// interned by ANY worker is seen by every other worker, so states shared
+/// between subtrees are counted once globally.
 ///
 /// Each key hashes to exactly one stripe (its own mutex + unordered_set),
 /// so two inserts contend only when their keys land on the same stripe —

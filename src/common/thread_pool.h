@@ -13,8 +13,7 @@
 namespace starburst {
 
 /// A fixed-size worker pool with a chunked parallel-for, shared by the
-/// analysis pair sweeps, the batch-analysis facade, and the sharded
-/// execution-graph explorer.
+/// analysis pair sweeps and the batch-analysis facade.
 ///
 /// Concurrency model: a pool of size N runs chunks on the calling thread
 /// plus N-1 persistent workers, so `ThreadPool(1)` spawns no threads and

@@ -19,12 +19,9 @@
 #include "analysis/commutativity.h"
 #include "common/metrics.h"
 #include "common/striped_set.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "common/work_stealing.h"
-#include "engine/exec.h"
 #include "engine/fingerprint.h"
-#include "rulelang/parser.h"
 
 namespace starburst {
 
@@ -40,75 +37,12 @@ std::string ObservableStreamToString(const std::vector<ObservableEvent>& stream)
 
 namespace {
 
-/// Serializes an observable stream for set-of-streams comparison.
-std::string StreamToString(const std::vector<ObservableEvent>& stream) {
-  return ObservableStreamToString(stream);
-}
-
-/// Interns canonical state strings to dense uint32 ids. Keys are looked up
-/// by their 64-bit FNV-1a hash; colliding keys are chained and verified by
-/// full-string comparison, so distinct canonical forms always get distinct
-/// ids. The canonical string is stored exactly once, and every per-state
-/// structure downstream (visited / on-path / graph-node / memo) is a flat
-/// vector indexed by the dense id instead of a string-keyed hash set.
-class StateInterner {
- public:
-  static constexpr uint32_t kNil = 0xffffffffu;
-
-  /// Returns {dense id, true when freshly interned}.
-  std::pair<uint32_t, bool> Intern(std::string&& key) {
-    uint64_t h = Hash(key);
-    auto it = buckets_.try_emplace(h, kNil).first;
-    for (uint32_t id = it->second; id != kNil; id = next_[id]) {
-      if (keys_[id] == key) return {id, false};
-    }
-    uint32_t id = static_cast<uint32_t>(keys_.size());
-    keys_.push_back(std::move(key));
-    next_.push_back(it->second);
-    it->second = id;
-    return {id, true};
-  }
-
-  const std::string& key(uint32_t id) const { return keys_[id]; }
-  size_t size() const { return keys_.size(); }
-
- private:
-  static uint64_t Hash(const std::string& s) {
-    // FNV-1a over 8-byte words instead of bytes (8x fewer multiplies on the
-    // long canonical strings this interner sees), with a final xor-shift
-    // avalanche. Colliding keys are verified by full comparison, so the
-    // hash only needs good distribution, not cryptographic strength.
-    uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-    const char* p = s.data();
-    size_t n = s.size();
-    while (n >= 8) {
-      uint64_t w;
-      std::memcpy(&w, p, 8);
-      h = (h ^ w) * 1099511628211ull;  // FNV-1a prime
-      p += 8;
-      n -= 8;
-    }
-    if (n > 0) {
-      uint64_t tail = static_cast<uint64_t>(n) << 56;
-      std::memcpy(&tail, p, n);
-      h = (h ^ tail) * 1099511628211ull;
-    }
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-    return h;
-  }
-
-  std::unordered_map<uint64_t, uint32_t> buckets_;  // hash -> chain head
-  std::vector<std::string> keys_;                   // id -> canonical form
-  std::vector<uint32_t> next_;  // id -> next id with the same hash
-};
-
-/// Interns 128-bit state fingerprints to dense uint32 ids — the undo-log
-/// backend's replacement for StateInterner. No canonical strings are stored;
-/// distinct logical states are distinct up to 128-bit hash collisions
-/// (cross-checked against the string-keyed backend by the delta_equivalence
-/// fuzz oracle).
+/// Interns 128-bit state fingerprints to dense uint32 ids. No canonical
+/// strings are stored; distinct logical states are distinct up to 128-bit
+/// hash collisions (cross-checked against the string-keyed reference walk
+/// by the delta_equivalence fuzz oracle). Every per-state structure
+/// downstream (visited / on-path / graph-node / memo) is a flat vector
+/// indexed by the dense id.
 class FingerprintInterner {
  public:
   /// Returns {dense id, true when freshly interned}.
@@ -129,16 +63,16 @@ class FingerprintInterner {
 constexpr uint64_t kPendingSalt = 0x70656e64696e67ull;
 constexpr uint64_t kRollbackSalt = 0x726f6c6c6261636bull;
 
-/// Fingerprint of an execution state for the undo-log backend: the
-/// database's incremental content fingerprint plus each pending
-/// transition's incremental content hash mixed with a per-rule salt.
-/// Nothing is rendered — both lanes are maintained deltas. The
-/// equivalence classes match the snapshot-copy backend's string keys: the
-/// database lane is rid-independent in both backends, the pending lane is
-/// rid-sensitive in both (Transition::ContentHash covers rids) — and
-/// delta revert restores rid counters, so both backends see identical
-/// pending content along equal paths.
-Hash128 StateFingerprintUndo(const RuleProcessingState& state) {
+/// Fingerprint of an execution state: the database's incremental content
+/// fingerprint plus each pending transition's incremental content hash
+/// mixed with a per-rule salt. Nothing is rendered — both lanes are
+/// maintained deltas. The equivalence classes are those of
+/// CanonicalStateKey (rules/processor.h): the database lane is
+/// rid-independent, the pending lane rid-sensitive (Transition::ContentHash
+/// covers rids) — and delta revert restores rid counters, so a path
+/// assigns the same rids here as in a walk that copies the state per
+/// branch.
+Hash128 StateFingerprint(const RuleProcessingState& state) {
   Hash128 fp = state.db.ContentFingerprint();
   uint64_t salt = kPendingSalt;
   for (const Transition& t : state.pending) {
@@ -147,37 +81,11 @@ Hash128 StateFingerprintUndo(const RuleProcessingState& state) {
   return fp;
 }
 
-/// Canonical key of an execution state (database + per-rule pending
-/// transitions). `*db_len` receives the length of the database prefix,
-/// which doubles as the final-state fingerprint. Shared by the classic
-/// explorer's per-visit key builder and the sharded root key.
-std::string CanonicalStateKey(const RuleProcessingState& state,
-                              size_t* db_len, size_t reserve_hint = 0) {
-  std::string key;
-  key.reserve(reserve_hint);
-  state.db.AppendCanonicalString(&key);
-  *db_len = key.size();
-  key += '#';
-  for (const Transition& t : state.pending) {
-    t.AppendCanonicalString(&key);
-    key += '|';
-  }
-  return key;
-}
-
 /// Inclusive upper edges for the explorer.revert_depth histogram (DFS
 /// stack depth at each undo-log revert).
 const std::vector<int64_t>& RevertDepthBounds() {
   static const std::vector<int64_t>* bounds =
       new std::vector<int64_t>{1, 2, 4, 8, 16, 32, 64};
-  return *bounds;
-}
-
-/// Inclusive upper edges for the explorer.shard_states histogram (states
-/// visited per top-level shard in sharded mode).
-const std::vector<int64_t>& ShardStatesBounds() {
-  static const std::vector<int64_t>* bounds = new std::vector<int64_t>{
-      1, 10, 100, 1000, 10000, 100000};
   return *bounds;
 }
 
@@ -217,7 +125,7 @@ bool PorEnabled(const ExplorerOptions& options) {
 }
 
 /// Per-rule partial-order-reduction safety, computed ONCE per exploration
-/// and shared read-only across shards. safe[r] holds when expanding r
+/// and shared read-only across workers. safe[r] holds when expanding r
 /// FIRST provably reaches the same final states, observable streams, and
 /// termination verdict as every order that defers r:
 ///   - r commutes with every other catalog rule (the Lemma 6.1 syntactic
@@ -268,79 +176,31 @@ void ReduceEligible(const std::vector<bool>* por_safe,
   }
 }
 
+/// The classic single-threaded walk: an explicit-stack DFS over ONE live
+/// state, stepped forward with Database::BeginDelta and backtracked with
+/// RevertDelta, interning states by incremental fingerprint. Each step
+/// costs O(delta), not O(database).
 class ExplorerImpl {
  public:
   /// `por_safe` is the precomputed POR safety bitvector (see PorSafeRules),
-  /// or nullptr when reduction is off; it is shared read-only across every
-  /// shard of a sharded exploration.
+  /// or nullptr when reduction is off.
   ExplorerImpl(const RuleCatalog& catalog, const Database& initial_db,
                const ExplorerOptions& options,
                const std::vector<bool>* por_safe = nullptr)
       : catalog_(catalog),
         initial_db_(initial_db),
         options_(options),
-        por_safe_(por_safe),
-        undo_(options.backend == ExplorerOptions::StateBackend::kUndoLog) {}
+        por_safe_(por_safe) {}
 
   Result<ExplorationResult> Run(const Transition& initial_transition) {
     auto start = std::chrono::steady_clock::now();
-    {
-      RuleProcessingState state(&catalog_.schema(), catalog_.num_rules());
-      state.db = initial_db_;
-      for (Transition& t : state.pending) t = initial_transition;
-      if (undo_) {
-        // The one database copy of the whole exploration: every branch
-        // below steps it forward and reverts it via the undo log.
-        cur_.emplace(std::move(state));
-        cur_->pending_undo = &pending_undo_;
-        EnterUndo(kNoParent, /*via=*/-1, /*restore_stream=*/0,
-                  /*delta_open=*/false);
-      } else {
-        Enter(std::move(state), kNoParent, /*via=*/-1, /*restore_stream=*/0);
-      }
-    }
-    return Drive(start);
-  }
-
-  /// Sharded-mode seeding: interns the parent (root) state's key and marks
-  /// it visited and on-path WITHOUT counting it, so a path looping back to
-  /// the root is detected as a cycle exactly like in the classic explorer
-  /// while the root itself is accounted once by the merge.
-  void SeedRootOnPath(std::string root_key) {
-    auto [id, fresh] = interner_.Intern(std::move(root_key));
-    (void)fresh;
-    SetBit(&visited_, id, true);
-    SetBit(&on_path_, id, true);
-  }
-
-  /// Fingerprint analogue of SeedRootOnPath for the undo-log backend.
-  void SeedRootOnPathFp(const Hash128& root_fp) {
-    auto [id, fresh] = fp_interner_.Intern(root_fp);
-    (void)fresh;
-    SetBit(&visited_, id, true);
-    SetBit(&on_path_, id, true);
-  }
-
-  /// Sharded-mode seeding: the observable events of the top-level rule
-  /// consideration that produced this shard's start state. They prefix
-  /// every stream the shard records.
-  void SeedStream(const std::vector<ObservableEvent>& prefix) {
-    stream_ = prefix;
-  }
-
-  /// Sharded-mode entry: explores the subtree rooted at `state` (the state
-  /// one top-level consideration below the seeded root).
-  Result<ExplorationResult> RunFromState(RuleProcessingState&& state) {
-    auto start = std::chrono::steady_clock::now();
-    if (undo_) {
-      cur_.emplace(std::move(state));
-      cur_->pending_undo = &pending_undo_;
-      EnterUndo(kNoParent, /*via=*/-1, /*restore_stream=*/stream_.size(),
-                /*delta_open=*/false);
-    } else {
-      Enter(std::move(state), kNoParent, /*via=*/-1,
-            /*restore_stream=*/stream_.size());
-    }
+    // The one database copy of the whole exploration: every branch below
+    // steps it forward and reverts it via the undo log.
+    cur_.emplace(&catalog_.schema(), catalog_.num_rules());
+    cur_->db = initial_db_;
+    for (Transition& t : cur_->pending) t = initial_transition;
+    cur_->pending_undo = &pending_undo_;
+    Enter(kNoParent, /*via=*/-1, /*restore_stream=*/0, /*delta_open=*/false);
     return Drive(start);
   }
 
@@ -360,40 +220,12 @@ class ExplorerImpl {
       }
       RuleIndex r = f.eligible[f.next_child++];
       ++result_.steps_taken;
-      bool last_child = f.next_child == f.eligible.size();
-      if (undo_) {
-        // The live state already sits at this frame: children revert their
-        // database deltas AND their pending mutations (via the pending
-        // undo log), so nothing is copied or restored per child.
-        pending_undo_.Mark();
-        cur_->db.BeginDelta();
-        auto step = ConsiderRule(catalog_, &*cur_, r);
-        if (!step.ok()) return step.status();
-        size_t mark = stream_.size();
-        if (!options_.dedup_subtrees) {
-          for (const ObservableEvent& ev : step.value().observables) {
-            stream_.push_back(ev);
-          }
-        }
-        if (step.value().rollback) {
-          // Transaction aborted: final database is the initial database.
-          cur_->db.RevertDelta();
-          pending_undo_.RevertToMark();
-          NoteRevert();
-          EnterRollback(top, r);
-          stream_.resize(mark);
-        } else {
-          EnterUndo(top, r, mark, /*delta_open=*/true);  // may invalidate `f`
-        }
-        continue;
-      }
-      // Snapshot-copy backend: the frame's state feeds each child in turn;
-      // the last child can steal it instead of copying (PopFrame never
-      // reads it). Chains of single-eligible states — the common fixpoint
-      // shape — therefore expand with zero database copies.
-      RuleProcessingState next =
-          last_child ? std::move(*f.state) : *f.state;
-      auto step = ConsiderRule(catalog_, &next, r);
+      // The live state already sits at this frame: children revert their
+      // database deltas AND their pending mutations (via the pending undo
+      // log), so nothing is copied or restored per child.
+      pending_undo_.Mark();
+      cur_->db.BeginDelta();
+      auto step = ConsiderRule(catalog_, &*cur_, r);
       if (!step.ok()) return step.status();
       size_t mark = stream_.size();
       if (!options_.dedup_subtrees) {
@@ -403,33 +235,32 @@ class ExplorerImpl {
       }
       if (step.value().rollback) {
         // Transaction aborted: final database is the initial database.
+        cur_->db.RevertDelta();
+        pending_undo_.RevertToMark();
+        NoteRevert();
         EnterRollback(top, r);
         stream_.resize(mark);
       } else {
-        Enter(std::move(next), top, r, mark);  // may invalidate `f`
+        Enter(top, r, mark, /*delta_open=*/true);  // may invalidate `f`
       }
     }
     result_.states_visited = visited_count_;
     result_.streams_evaluated = !options_.dedup_subtrees;
-    result_.stats.states_interned = static_cast<long>(
-        undo_ ? fp_interner_.size() : interner_.size());
+    result_.stats.states_interned = static_cast<long>(interner_.size());
     result_.stats.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     return std::move(result_);
   }
 
- private:
   static constexpr size_t kNoParent = static_cast<size_t>(-1);
   static constexpr int kNodeUnassigned = -2;
 
   struct Frame {
-    /// Snapshot-copy backend: the frame's full state (absent in undo mode).
-    std::optional<RuleProcessingState> state;
-    /// Undo-log backend: true when this frame holds an open delta on
-    /// `cur_->db` plus a matching pending-undo mark (every frame except a
-    /// path root); PopFrame reverts both. The frame stores no state of its
-    /// own — `cur_` is stepped forward and reverted in place.
+    /// True when this frame holds an open delta on `cur_->db` plus a
+    /// matching pending-undo mark (every frame except the root); PopFrame
+    /// reverts both. The frame stores no state of its own — `cur_` is
+    /// stepped forward and reverted in place.
     bool owns_delta = false;
     uint32_t id = 0;
     int node = -1;
@@ -444,19 +275,6 @@ class ExplorerImpl {
     /// tainted subtrees are never memoized.
     bool tainted = false;
   };
-
-  /// Canonical key of an execution state (database + per-rule pending
-  /// transitions), built once per visit into a single buffer. Rid-sensitive,
-  /// so logically identical states reached with different tuple identities
-  /// get distinct keys — that only costs extra exploration, never wrong
-  /// results. `*db_len` receives the length of the database prefix, which
-  /// doubles as the final-state fingerprint.
-  std::string BuildStateKey(const RuleProcessingState& state,
-                            size_t* db_len) {
-    std::string key = CanonicalStateKey(state, db_len, last_key_size_ + 32);
-    last_key_size_ = key.size();
-    return key;
-  }
 
   void MarkVisited(uint32_t id) {
     if (!TestBit(visited_, id)) {
@@ -503,7 +321,7 @@ class ExplorerImpl {
   /// incomplete — only a NEW stream that would exceed max_streams does.
   void RecordStream() {
     if (options_.dedup_subtrees) return;
-    std::string s = StreamToString(stream_);
+    std::string s = ObservableStreamToString(stream_);
     if (static_cast<int>(result_.observable_streams.size()) <
         options_.max_streams) {
       result_.observable_streams.insert(std::move(s));
@@ -512,27 +330,13 @@ class ExplorerImpl {
     }
   }
 
-  /// Records a final database (by canonical fingerprint) and the path's
-  /// observable stream.
-  uint32_t RecordFinal(std::string db_key, const Database& db) {
+  /// Records a final database and the path's observable stream. Final
+  /// databases are deduplicated by content fingerprint, and the reported
+  /// canonical string is rendered only for FRESH fingerprints, so a
+  /// revisited final costs O(1), not O(database).
+  uint32_t RecordFinal(const Database& db) {
     auto [it, fresh] = final_ids_.try_emplace(
-        db_key, static_cast<uint32_t>(final_ids_.size()));
-    if (fresh) {
-      result_.final_states.insert(db_key);
-      result_.final_databases.emplace(std::move(db_key), db);
-    }
-    RecordStream();
-    return it->second;
-  }
-
-  /// Undo-backend analogue of RecordFinal: final databases are deduplicated
-  /// by content fingerprint, and the reported canonical string is rendered
-  /// only for FRESH fingerprints — the whole point of the backend is that
-  /// revisited finals cost O(1), not O(database).
-  uint32_t RecordFinalUndo(const Database& db) {
-    auto [it, fresh] = final_fp_ids_.try_emplace(
-        db.ContentFingerprint(),
-        static_cast<uint32_t>(final_fp_ids_.size()));
+        db.ContentFingerprint(), static_cast<uint32_t>(final_ids_.size()));
     if (fresh) {
       std::string db_key = db.CanonicalString();
       result_.stats.canonicalization_bytes +=
@@ -563,94 +367,18 @@ class ExplorerImpl {
     memo_finals_.emplace(id, std::vector<uint32_t>{final_id});
   }
 
-  /// Evaluates one execution state: interns it, records the incoming edge,
-  /// and either handles it terminally (cycle / memo hit / final / budget /
-  /// depth) or pushes a DFS frame for expansion. `restore_stream` is the
-  /// stream length to restore once the state's subtree is done (terminal
-  /// states restore it immediately).
-  void Enter(RuleProcessingState&& state, size_t parent, RuleIndex via,
-             size_t restore_stream) {
-    size_t db_len = 0;
-    std::string key = BuildStateKey(state, &db_len);
-    result_.stats.canonicalization_bytes += static_cast<long>(key.size());
-    auto [id, fresh] = interner_.Intern(std::move(key));
-    if (!fresh) ++result_.stats.interner_hits;
-    int node = GraphNode(id);
-    if (parent != kNoParent) RecordEdge(stack_[parent].node, node, via);
-    if (!fresh && TestBit(on_path_, id)) {
-      // A cycle in the execution graph: an infinitely long path exists.
-      // The cycle target's subtree is still being enumerated, so every
-      // ancestor's reachable-final memo is incomplete.
-      result_.may_not_terminate = true;
-      Taint(parent);
-      stream_.resize(restore_stream);
-      return;
-    }
-    MarkVisited(id);
-    if (options_.dedup_subtrees && TestBit(memo_black_, id)) {
-      ++result_.stats.dedup_hits;
-      if (parent != kNoParent) {
-        auto it = memo_finals_.find(id);
-        if (it != memo_finals_.end()) {
-          Frame& pf = stack_[parent];
-          pf.reached_finals.insert(pf.reached_finals.end(),
-                                   it->second.begin(), it->second.end());
-        }
-      }
-      stream_.resize(restore_stream);
-      return;
-    }
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, state);
-    if (triggered.empty()) {
-      if (node >= 0) result_.node_is_final[node] = true;
-      uint32_t fid = RecordFinal(interner_.key(id).substr(0, db_len),
-                                 state.db);
-      AddFinal(parent, fid);
-      MemoizeFinal(id, fid);
-      stream_.resize(restore_stream);
-      return;
-    }
-    // The budget check comes AFTER the final-state check: a rule-free
-    // state reached exactly as the budget trips is still a real final
-    // state and must be recorded, not dropped.
-    if (result_.steps_taken >= options_.max_total_steps) {
-      result_.complete = false;
-      Taint(parent);
-      stream_.resize(restore_stream);
-      return;
-    }
-    if (static_cast<int>(stack_.size()) >= options_.max_depth) {
-      result_.complete = false;
-      result_.may_not_terminate = true;  // conservative
-      Taint(parent);
-      stream_.resize(restore_stream);
-      return;
-    }
-    SetBit(&on_path_, id, true);
-    Frame frame;
-    frame.state.emplace(std::move(state));
-    frame.id = id;
-    frame.node = node;
-    frame.eligible = EligibleRules(catalog_, triggered);
-    ReduceEligible(por_safe_, &frame.eligible,
-                   &result_.stats.por_pruned_orders);
-    frame.restore_stream = restore_stream;
-    stack_.push_back(std::move(frame));
-    result_.stats.peak_stack_depth = std::max(
-        result_.stats.peak_stack_depth, static_cast<int>(stack_.size()));
-  }
-
-  /// Undo-backend analogue of Enter(): evaluates the state currently held
-  /// in `cur_` (the one live database) without keying it by canonical
-  /// string — the incremental fingerprint is the intern key. Every terminal
-  /// outcome must undo what the caller set up, which `leave()` centralizes:
-  /// revert this step's delta (when one is open) and roll the stream back.
-  /// Non-terminal states instead push a frame that OWNS the open delta;
-  /// PopFrame reverts it when the subtree is done.
-  void EnterUndo(size_t parent, RuleIndex via, size_t restore_stream,
-                 bool delta_open) {
-    Hash128 fp = StateFingerprintUndo(*cur_);
-    auto [id, fresh] = fp_interner_.Intern(fp);
+  /// Evaluates the state currently held in `cur_` (the one live
+  /// database): interns it by fingerprint, records the incoming edge, and
+  /// either handles it terminally (cycle / memo hit / final / budget /
+  /// depth) or pushes a DFS frame for expansion. Every terminal outcome
+  /// must undo what the caller set up, which `leave()` centralizes: revert
+  /// this step's delta (when one is open) and roll the stream back to
+  /// `restore_stream`. Non-terminal states instead push a frame that OWNS
+  /// the open delta; PopFrame reverts it when the subtree is done.
+  void Enter(size_t parent, RuleIndex via, size_t restore_stream,
+             bool delta_open) {
+    Hash128 fp = StateFingerprint(*cur_);
+    auto [id, fresh] = interner_.Intern(fp);
     if (!fresh) ++result_.stats.interner_hits;
     int node = GraphNode(id);
     if (parent != kNoParent) RecordEdge(stack_[parent].node, node, via);
@@ -664,6 +392,8 @@ class ExplorerImpl {
     };
     if (!fresh && TestBit(on_path_, id)) {
       // A cycle in the execution graph: an infinitely long path exists.
+      // The cycle target's subtree is still being enumerated, so every
+      // ancestor's reachable-final memo is incomplete.
       result_.may_not_terminate = true;
       Taint(parent);
       leave();
@@ -686,7 +416,7 @@ class ExplorerImpl {
     std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *cur_);
     if (triggered.empty()) {
       if (node >= 0) result_.node_is_final[node] = true;
-      uint32_t fid = RecordFinalUndo(cur_->db);
+      uint32_t fid = RecordFinal(cur_->db);
       AddFinal(parent, fid);
       MemoizeFinal(id, fid);
       leave();
@@ -728,27 +458,18 @@ class ExplorerImpl {
   /// graph, and the DOT output agree on node accounting.
   void EnterRollback(size_t parent, RuleIndex via) {
     if (!rollback_interned_) {
-      if (undo_) {
-        rollback_id_ =
-            fp_interner_
-                .Intern(MixWithSalt(initial_db_.ContentFingerprint(),
-                                    kRollbackSalt))
-                .first;
-      } else {
-        std::string db_key = initial_db_.CanonicalString();
-        std::string key = "ROLLBACK#" + db_key;
-        result_.stats.canonicalization_bytes += static_cast<long>(key.size());
-        rollback_id_ = interner_.Intern(std::move(key)).first;
-        rollback_db_key_ = std::move(db_key);
-      }
+      rollback_id_ =
+          interner_
+              .Intern(MixWithSalt(initial_db_.ContentFingerprint(),
+                                  kRollbackSalt))
+              .first;
       rollback_interned_ = true;
     }
     MarkVisited(rollback_id_);
     int node = GraphNode(rollback_id_);
     if (node >= 0) result_.node_is_final[node] = true;
     RecordEdge(stack_[parent].node, node, via);
-    uint32_t fid = undo_ ? RecordFinalUndo(initial_db_)
-                         : RecordFinal(rollback_db_key_, initial_db_);
+    uint32_t fid = RecordFinal(initial_db_);
     AddFinal(parent, fid);
     MemoizeFinal(rollback_id_, fid);
   }
@@ -756,7 +477,7 @@ class ExplorerImpl {
   void PopFrame() {
     Frame& f = stack_.back();
     SetBit(&on_path_, f.id, false);
-    if (undo_ && f.owns_delta) {
+    if (f.owns_delta) {
       cur_->db.RevertDelta();
       pending_undo_.RevertToMark();
       NoteRevert();
@@ -787,34 +508,27 @@ class ExplorerImpl {
   const ExplorerOptions& options_;
   /// POR safety bitvector (nullptr when reduction is off).
   const std::vector<bool>* por_safe_;
-  /// True for ExplorerOptions::StateBackend::kUndoLog.
-  bool undo_;
   ExplorationResult result_;
 
-  StateInterner interner_;
-  /// Undo backend: the one live state the whole DFS steps forward and
-  /// reverts — the database via its own delta log, the pending
-  /// transitions via `pending_undo_`.
+  /// The one live state the whole DFS steps forward and reverts — the
+  /// database via its own delta log, the pending transitions via
+  /// `pending_undo_`.
   std::optional<RuleProcessingState> cur_;
-  /// Undo backend: inverse log for `cur_->pending` mutations; one mark per
-  /// rule consideration, reverted wherever the step's db delta is.
+  /// Inverse log for `cur_->pending` mutations; one mark per rule
+  /// consideration, reverted wherever the step's db delta is.
   TransitionUndoLog pending_undo_;
-  FingerprintInterner fp_interner_;
-  /// Undo backend: final databases, content fingerprint -> dense final id.
-  std::unordered_map<Hash128, uint32_t, Hash128Hasher> final_fp_ids_;
+  FingerprintInterner interner_;
+  /// Final databases: content fingerprint -> dense final id.
+  std::unordered_map<Hash128, uint32_t, Hash128Hasher> final_ids_;
   std::vector<Frame> stack_;
   std::vector<ObservableEvent> stream_;
   std::vector<bool> visited_;  // by interned id
   std::vector<bool> on_path_;  // by interned id
   long visited_count_ = 0;
-  size_t last_key_size_ = 0;
 
   // Recorded-graph node ids, by interned id (kNodeUnassigned / -1 capped).
   std::vector<int> graph_node_;
   int next_graph_node_ = 0;
-
-  // Final databases: canonical fingerprint -> dense final id.
-  std::unordered_map<std::string, uint32_t> final_ids_;
 
   // Dedup-subtrees memo: black = subtree fully enumerated; finals =
   // final ids reachable from the state.
@@ -824,7 +538,6 @@ class ExplorerImpl {
   // Synthetic rollback state (interned lazily on the first rollback path).
   bool rollback_interned_ = false;
   uint32_t rollback_id_ = 0;
-  std::string rollback_db_key_;
 };
 
 /// ------------------- Work-stealing parallel exploration -------------------
@@ -892,7 +605,6 @@ class WorkStealingExplorer {
         initial_db_(initial_db),
         options_(options),
         por_safe_(por_safe),
-        undo_(options.backend == ExplorerOptions::StateBackend::kUndoLog),
         num_workers_(static_cast<size_t>(options.num_threads)),
         deques_(num_workers_) {}
 
@@ -913,18 +625,8 @@ class WorkStealingExplorer {
   Result<ExplorationResult> Run(const Transition& initial_transition) {
     auto start = std::chrono::steady_clock::now();
     initial_transition_ = &initial_transition;
-    if (undo_) {
-      initial_fp_ = initial_db_.ContentFingerprint();
-      rollback_fp_ = MixWithSalt(initial_fp_, kRollbackSalt);
-    } else {
-      // Rendered before worker 0 copies the initial database, so its root
-      // (and later the helpers' root copy) inherits the rendering, and no
-      // worker ever renders the shared database.
-      rollback_db_key_ = initial_db_.CanonicalString();
-      rollback_fp_ = HashString128("ROLLBACK#" + rollback_db_key_);
-      rollback_key_bytes_ =
-          static_cast<long>(9 /* "ROLLBACK#" */ + rollback_db_key_.size());
-    }
+    initial_fp_ = initial_db_.ContentFingerprint();
+    rollback_fp_ = MixWithSalt(initial_fp_, kRollbackSalt);
 
     locals_.resize(num_workers_);
     deques_.MarkActive();  // worker 0 owns the root region from the start
@@ -967,12 +669,10 @@ class WorkStealingExplorer {
     std::shared_ptr<StealTask> task;
     RuleIndex only = -1;
     bool only_taken = false;
-    /// Undo backend: this frame's entry edge holds an open delta on the
-    /// worker's live state (false for region roots — the exploration root
-    /// or an adopted frame, whose replay deltas are unwound by Reset).
+    /// This frame's entry edge holds an open delta on the worker's live
+    /// state (false for region roots — the exploration root or an adopted
+    /// frame, whose replay deltas are unwound by ResetRegion).
     bool owns_delta = false;
-    /// Snapshot backend: the frame's full state.
-    std::optional<RuleProcessingState> state;
     Hash128 fp;
     size_t restore_stream = 0;
   };
@@ -985,10 +685,8 @@ class WorkStealingExplorer {
     long interner_hits = 0;
     long delta_reverts = 0;
     long por_pruned = 0;
-    long canonical_bytes = 0;
     int peak_depth = 0;
-    std::unordered_map<Hash128, Database, Hash128Hasher> finals_undo;
-    std::map<std::string, Database> finals_copy;
+    std::unordered_map<Hash128, Database, Hash128Hasher> finals;
     std::set<std::string> streams;
   };
 
@@ -997,8 +695,8 @@ class WorkStealingExplorer {
   struct Ctx {
     size_t w = 0;
     WorkerLocal* local = nullptr;
-    std::optional<RuleProcessingState> cur;  // undo backend
-    TransitionUndoLog pending_undo;          // undo backend
+    std::optional<RuleProcessingState> cur;
+    TransitionUndoLog pending_undo;
     std::vector<Frame> frames;
     std::vector<ReplayMark> replay;
     /// States below the bottom frame (replayed prefix length); the logical
@@ -1009,7 +707,6 @@ class WorkStealingExplorer {
     std::unordered_set<Hash128, Hash128Hasher> on_path;
     std::vector<RuleIndex> path_rules;  // root -> top frame
     std::vector<Hash128> path_fps;      // parallel to path_rules, + root
-    size_t last_key_size = 0;           // snapshot key reserve hint
   };
 
   size_t Depth(const Ctx& ctx) const {
@@ -1031,7 +728,7 @@ class WorkStealingExplorer {
       if (Aborted()) return;
       ResetRegion(ctx);
       deques_.MarkIdle();
-    } else if (undo_) {
+    } else {
       ctx.cur.emplace(*root_state_);
       ctx.cur->pending_undo = &ctx.pending_undo;
     }
@@ -1095,32 +792,9 @@ class WorkStealingExplorer {
       // claim — its own — crosses the threshold.
       if (s + 1 == kHelperStartSteps) StartHelpers();
       ++ctx.local->steps;
-      if (undo_) {
-        ctx.pending_undo.Mark();
-        ctx.cur->db.BeginDelta();
-        auto step = ConsiderRule(catalog_, &*ctx.cur, r);
-        if (!step.ok()) {
-          Abort();
-          return;
-        }
-        size_t mark = ctx.stream.size();
-        for (const ObservableEvent& ev : step.value().observables) {
-          ctx.stream.push_back(ev);
-        }
-        if (step.value().rollback) {
-          ctx.cur->db.RevertDelta();
-          ctx.pending_undo.RevertToMark();
-          NoteRevert(ctx);
-          RecordRollback(ctx);
-          ctx.stream.resize(mark);
-        } else {
-          EnterUndo(ctx, r, mark);
-        }
-        continue;
-      }
-      bool last = k + 1 == fan && f.state.has_value();
-      RuleProcessingState next = last ? std::move(*f.state) : *f.state;
-      auto step = ConsiderRule(catalog_, &next, r);
+      ctx.pending_undo.Mark();
+      ctx.cur->db.BeginDelta();
+      auto step = ConsiderRule(catalog_, &*ctx.cur, r);
       if (!step.ok()) {
         Abort();
         return;
@@ -1130,10 +804,13 @@ class WorkStealingExplorer {
         ctx.stream.push_back(ev);
       }
       if (step.value().rollback) {
+        ctx.cur->db.RevertDelta();
+        ctx.pending_undo.RevertToMark();
+        NoteRevert(ctx);
         RecordRollback(ctx);
         ctx.stream.resize(mark);
       } else {
-        EnterCopy(ctx, std::move(next), r, mark);
+        Enter(ctx, r, mark);
       }
     }
   }
@@ -1151,30 +828,13 @@ class WorkStealingExplorer {
   /// walk does — the classic Enter() on a region root (no entry delta,
   /// restore-to-empty stream).
   void EnterRoot(Ctx& ctx) {
-    RuleProcessingState root = InitialState();
-    Hash128 fp;
-    std::string key;  // snapshot backend only
-    size_t db_len = 0;
-    if (undo_) {
-      ctx.cur.emplace(std::move(root));
-      ctx.cur->pending_undo = &ctx.pending_undo;
-      fp = StateFingerprintUndo(*ctx.cur);
-    } else {
-      key = CanonicalStateKey(root, &db_len);
-      ctx.local->canonical_bytes += static_cast<long>(key.size());
-      fp = HashString128(key);
-    }
-    bool fresh = visited_.Insert(fp);
-    if (!fresh) ++ctx.local->interner_hits;
-    std::vector<RuleIndex> triggered =
-        TriggeredRules(catalog_, undo_ ? *ctx.cur : root);
+    ctx.cur.emplace(InitialState());
+    ctx.cur->pending_undo = &ctx.pending_undo;
+    Hash128 fp = StateFingerprint(*ctx.cur);
+    if (!visited_.Insert(fp)) ++ctx.local->interner_hits;
+    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *ctx.cur);
     if (triggered.empty()) {
-      if (undo_) {
-        ctx.local->finals_undo.try_emplace(initial_fp_, ctx.cur->db);
-      } else {
-        key.resize(db_len);
-        ctx.local->finals_copy.try_emplace(std::move(key), std::move(root.db));
-      }
+      ctx.local->finals.try_emplace(initial_fp_, ctx.cur->db);
       RecordStream(ctx);
       return;
     }
@@ -1185,7 +845,6 @@ class WorkStealingExplorer {
     Frame frame;
     frame.fp = fp;
     frame.restore_stream = 0;
-    if (!undo_) frame.state.emplace(std::move(root));
     PushFrame(ctx, std::move(frame), triggered, /*via=*/-1);
   }
 
@@ -1196,12 +855,10 @@ class WorkStealingExplorer {
   /// just stays empty).
   void StartHelpers() {
     root_state_.emplace(InitialState());
-    if (undo_) {
-      // Rendered once before any helper copies the root, so the copies
-      // inherit per-table canonical caches and the shared root stays
-      // read-only while the helpers run.
-      (void)root_state_->db.CanonicalString();
-    }
+    // Rendered once before any helper copies the root, so the copies
+    // inherit per-table canonical caches and the shared root stays
+    // read-only while the helpers run.
+    (void)root_state_->db.CanonicalString();
     // Dedicated threads, NOT ThreadPool::ParallelFor: the pool counts its
     // chunks (`pool.chunks`, `pool.parallel_for_calls`), and a
     // chunk-per-worker loop would make those counters a function of
@@ -1228,11 +885,10 @@ class WorkStealingExplorer {
     }
   }
 
-  /// Undo-backend child entry: the live state sits at the child (delta
-  /// open). Terminal outcomes revert; non-terminal ones push a frame that
-  /// owns the delta.
-  void EnterUndo(Ctx& ctx, RuleIndex via, size_t restore_stream) {
-    Hash128 fp = StateFingerprintUndo(*ctx.cur);
+  /// Child entry: the live state sits at the child (delta open). Terminal
+  /// outcomes revert; non-terminal ones push a frame that owns the delta.
+  void Enter(Ctx& ctx, RuleIndex via, size_t restore_stream) {
+    Hash128 fp = StateFingerprint(*ctx.cur);
     bool fresh = visited_.Insert(fp);
     if (!fresh) ++ctx.local->interner_hits;
     auto leave = [&] {
@@ -1248,8 +904,8 @@ class WorkStealingExplorer {
     }
     std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *ctx.cur);
     if (triggered.empty()) {
-      ctx.local->finals_undo.try_emplace(ctx.cur->db.ContentFingerprint(),
-                                         ctx.cur->db);
+      ctx.local->finals.try_emplace(ctx.cur->db.ContentFingerprint(),
+                                    ctx.cur->db);
       RecordStream(ctx);
       leave();
       return;
@@ -1261,44 +917,6 @@ class WorkStealingExplorer {
     }
     Frame frame;
     frame.owns_delta = true;
-    frame.fp = fp;
-    frame.restore_stream = restore_stream;
-    PushFrame(ctx, std::move(frame), triggered, via);
-  }
-
-  /// Snapshot-backend child entry. The shared set is keyed by the hash of
-  /// the canonical state key (the on-path set likewise), so cycle cuts and
-  /// intern counts match the classic string-keyed walk up to 128-bit
-  /// collisions — the same risk class the undo backend always carries.
-  void EnterCopy(Ctx& ctx, RuleProcessingState&& state, RuleIndex via,
-                 size_t restore_stream) {
-    size_t db_len = 0;
-    std::string key =
-        CanonicalStateKey(state, &db_len, ctx.last_key_size + 32);
-    ctx.last_key_size = key.size();
-    ctx.local->canonical_bytes += static_cast<long>(key.size());
-    Hash128 fp = HashString128(key);
-    bool fresh = visited_.Insert(fp);
-    if (!fresh) ++ctx.local->interner_hits;
-    if (!fresh && ctx.on_path.count(fp) != 0) {
-      may_not_terminate_.store(true, std::memory_order_relaxed);
-      ctx.stream.resize(restore_stream);
-      return;
-    }
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, state);
-    if (triggered.empty()) {
-      ctx.local->finals_copy.try_emplace(key.substr(0, db_len), state.db);
-      RecordStream(ctx);
-      ctx.stream.resize(restore_stream);
-      return;
-    }
-    if (static_cast<int>(Depth(ctx)) >= options_.max_depth) {
-      ctx.stream.resize(restore_stream);
-      Abort();
-      return;
-    }
-    Frame frame;
-    frame.state.emplace(std::move(state));
     frame.fp = fp;
     frame.restore_stream = restore_stream;
     PushFrame(ctx, std::move(frame), triggered, via);
@@ -1354,17 +972,11 @@ class WorkStealingExplorer {
     const size_t len = task->path.size();
     ctx.replay.push_back({/*owns_delta=*/false, task->path_fps[0]});
     ctx.on_path.insert(task->path_fps[0]);
-    std::optional<RuleProcessingState> walker;
-    if (!undo_) walker.emplace(*root_state_);
     for (size_t i = 0; i < len; ++i) {
-      Result<StepOutcome> step = [&] {
-        if (undo_) {
-          ctx.pending_undo.Mark();
-          ctx.cur->db.BeginDelta();
-          return ConsiderRule(catalog_, &*ctx.cur, task->path[i]);
-        }
-        return ConsiderRule(catalog_, &*walker, task->path[i]);
-      }();
+      ctx.pending_undo.Mark();
+      ctx.cur->db.BeginDelta();
+      Result<StepOutcome> step =
+          ConsiderRule(catalog_, &*ctx.cur, task->path[i]);
       if (!step.ok()) {
         Abort();
         return;
@@ -1372,7 +984,7 @@ class WorkStealingExplorer {
       for (const ObservableEvent& ev : step.value().observables) {
         ctx.stream.push_back(ev);
       }
-      ctx.replay.push_back({/*owns_delta=*/undo_, task->path_fps[i + 1]});
+      ctx.replay.push_back({/*owns_delta=*/true, task->path_fps[i + 1]});
       if (i + 1 < len) ctx.on_path.insert(task->path_fps[i + 1]);
     }
     ctx.base_depth = len;
@@ -1382,7 +994,6 @@ class WorkStealingExplorer {
     frame.task = task;
     frame.fp = task->path_fps[len];
     frame.restore_stream = ctx.stream.size();
-    if (!undo_) frame.state.emplace(std::move(*walker));
     ctx.on_path.insert(frame.fp);
     ctx.path_fps.push_back(frame.fp);
     ctx.frames.push_back(std::move(frame));
@@ -1424,15 +1035,9 @@ class WorkStealingExplorer {
   /// every rollback edge still records the final state and its stream.
   void RecordRollback(Ctx& ctx) {
     if (!rollback_claimed_.exchange(true, std::memory_order_acq_rel)) {
-      bool fresh = visited_.Insert(rollback_fp_);
-      if (!fresh) ++ctx.local->interner_hits;
-      if (!undo_) ctx.local->canonical_bytes += rollback_key_bytes_;
+      if (!visited_.Insert(rollback_fp_)) ++ctx.local->interner_hits;
     }
-    if (undo_) {
-      ctx.local->finals_undo.try_emplace(initial_fp_, initial_db_);
-    } else {
-      ctx.local->finals_copy.try_emplace(rollback_db_key_, initial_db_);
-    }
+    ctx.local->finals.try_emplace(initial_fp_, initial_db_);
     RecordStream(ctx);
   }
 
@@ -1440,8 +1045,8 @@ class WorkStealingExplorer {
   /// set past the cap proves the global union is past the cap — the
   /// classic walk would truncate, so abort to it.
   void RecordStream(Ctx& ctx) {
-    std::string s = StreamToString(ctx.stream);
-    auto [it, fresh] = ctx.local->streams.insert(std::move(s));
+    auto [it, fresh] =
+        ctx.local->streams.insert(ObservableStreamToString(ctx.stream));
     (void)it;
     if (fresh && static_cast<int>(ctx.local->streams.size()) >
                      options_.max_streams) {
@@ -1467,28 +1072,17 @@ class WorkStealingExplorer {
         options_.max_streams) {
       return std::nullopt;
     }
-    long merge_bytes = 0;
-    if (undo_) {
-      // Distinct final fingerprints across workers; canonical strings are
-      // rendered once per distinct final, exactly like the classic undo
-      // walk's fresh-fingerprint renders.
-      std::unordered_set<Hash128, Hash128Hasher> seen;
-      for (WorkerLocal& local : locals_) {
-        for (auto& [fp, db] : local.finals_undo) {
-          if (!seen.insert(fp).second) continue;
-          std::string db_key = db.CanonicalString();
-          merge_bytes += static_cast<long>(db_key.size());
-          out.final_states.insert(db_key);
-          out.final_databases.emplace(std::move(db_key), std::move(db));
-        }
-      }
-    } else {
-      for (WorkerLocal& local : locals_) {
-        for (auto& [db_key, db] : local.finals_copy) {
-          if (out.final_states.insert(db_key).second) {
-            out.final_databases.emplace(db_key, std::move(db));
-          }
-        }
+    // Distinct final fingerprints across workers; canonical strings are
+    // rendered once per distinct final, exactly like the classic walk's
+    // fresh-fingerprint renders.
+    std::unordered_set<Hash128, Hash128Hasher> seen;
+    for (WorkerLocal& local : locals_) {
+      for (auto& [fp, db] : local.finals) {
+        if (!seen.insert(fp).second) continue;
+        std::string db_key = db.CanonicalString();
+        out.stats.canonicalization_bytes += static_cast<long>(db_key.size());
+        out.final_states.insert(db_key);
+        out.final_databases.emplace(std::move(db_key), std::move(db));
       }
     }
     for (const WorkerLocal& local : locals_) {
@@ -1496,11 +1090,9 @@ class WorkStealingExplorer {
       out.stats.interner_hits += local.interner_hits;
       out.stats.delta_reverts += local.delta_reverts;
       out.stats.por_pruned_orders += local.por_pruned;
-      out.stats.canonicalization_bytes += local.canonical_bytes;
       out.stats.peak_stack_depth =
           std::max(out.stats.peak_stack_depth, local.peak_depth);
     }
-    out.stats.canonicalization_bytes += merge_bytes;
     long interned = static_cast<long>(visited_.Size());
     out.states_visited = interned;
     out.stats.states_interned = interned;
@@ -1521,7 +1113,6 @@ class WorkStealingExplorer {
   const Database& initial_db_;
   const ExplorerOptions& options_;
   const std::vector<bool>* por_safe_;
-  const bool undo_;
   const size_t num_workers_;
 
   const Transition* initial_transition_ = nullptr;
@@ -1529,8 +1120,6 @@ class WorkStealingExplorer {
   std::optional<RuleProcessingState> root_state_;
   Hash128 initial_fp_;
   Hash128 rollback_fp_;
-  std::string rollback_db_key_;
-  long rollback_key_bytes_ = 0;
 
   /// The shared concurrent interner: every state any worker visits, keyed
   /// by 128-bit fingerprint.
@@ -1549,202 +1138,12 @@ class WorkStealingExplorer {
   std::vector<std::thread> helpers_;
 };
 
-/// Legacy deterministic sharding, kept for dedup_subtrees mode (the
-/// subtree memo is schedule-dependent under concurrent workers, so it
-/// cannot ride the work-stealing pool): the root state is expanded once,
-/// then each top-level subtree — one per initial eligible rule — is
-/// explored independently with its own interner, own step-budget slice,
-/// and the root seeded on-path for cycle detection. Shard results are
-/// merged in rule order, so the merged result is identical for any worker
-/// count. When POR (or the workload) reduces the root to a single eligible
-/// rule, the walk IS the classic walk — run it directly instead of paying
-/// pool setup for one shard.
-Result<ExplorationResult> ExploreSharded(const RuleCatalog& catalog,
-                                         const Database& initial_db,
-                                         const Transition& initial_transition,
-                                         const ExplorerOptions& options,
-                                         const std::vector<bool>* por_safe) {
-  auto start = std::chrono::steady_clock::now();
-  RuleProcessingState root(&catalog.schema(), catalog.num_rules());
-  root.db = initial_db;
-  for (Transition& t : root.pending) t = initial_transition;
-  const bool undo =
-      options.backend == ExplorerOptions::StateBackend::kUndoLog;
-  size_t db_len = 0;
-  // Also renders (and caches) the canonical strings inside root.db, so the
-  // per-shard copies below start from a clean cache and workers never
-  // touch a shared mutable one — needed in BOTH backends: the undo backend
-  // still renders canonical strings for final states, and a root that is
-  // itself final takes the string path below.
-  std::string root_key = CanonicalStateKey(root, &db_len);
-  Hash128 root_fp;
-  if (undo) root_fp = StateFingerprintUndo(root);
-
-  ExplorationResult merged;
-  merged.streams_evaluated = !options.dedup_subtrees;
-  merged.states_visited = 1;
-  merged.stats.states_interned = 1;
-  merged.stats.canonicalization_bytes =
-      static_cast<long>(undo ? 0 : root_key.size());
-
-  std::vector<RuleIndex> triggered = TriggeredRules(catalog, root);
-  if (triggered.empty()) {
-    // The root is final; mirrors the classic explorer's terminal Enter.
-    std::string fingerprint = root_key.substr(0, db_len);
-    merged.final_databases.emplace(fingerprint, root.db);
-    merged.final_states.insert(std::move(fingerprint));
-    if (!options.dedup_subtrees) merged.observable_streams.insert("");
-    merged.stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    return merged;
-  }
-  // Terminal-bound checks in the classic Enter() order: budget, depth.
-  if (options.max_total_steps <= 0) {
-    merged.complete = false;
-    return merged;
-  }
-  if (options.max_depth <= 0) {
-    merged.complete = false;
-    merged.may_not_terminate = true;  // conservative
-    return merged;
-  }
-
-  std::vector<RuleIndex> eligible = EligibleRules(catalog, triggered);
-  // The root state gets the same ample-set reduction as every in-shard
-  // state, so classic and sharded POR prune the identical tree.
-  ReduceEligible(por_safe, &eligible, &merged.stats.por_pruned_orders);
-  if (eligible.size() == 1) {
-    // POR (or the workload) reduced the root to one eligible rule: the one
-    // "shard" is the whole walk, so run the classic explorer directly
-    // instead of paying pool setup for a single worker. The classic walk
-    // recounts por_pruned_orders from scratch; `merged` is discarded.
-    ExplorerImpl impl(catalog, initial_db, options, por_safe);
-    return impl.Run(initial_transition);
-  }
-  // Precomputed on this thread: the rollback fingerprint reads (and fills)
-  // initial_db's mutable canonical-string caches.
-  std::string rollback_fingerprint = initial_db.CanonicalString();
-
-  struct ShardOutcome {
-    Status error;
-    ExplorationResult result;
-  };
-  std::vector<ShardOutcome> shards(eligible.size());
-  ExplorerOptions shard_options = options;
-  shard_options.num_threads = 0;
-  shard_options.record_graph = false;
-  // The shard's start state already sits one consideration below the root.
-  shard_options.max_depth = options.max_depth - 1;
-  // `max_total_steps` is divided across the shards (remainder to the first
-  // shards in rule order) so the aggregate budget matches the classic
-  // mode instead of silently handing every shard the full allowance. The
-  // shard's slice funds its top-level consideration (the += 1 after the
-  // sub-exploration) plus the subtree below it; a slice of 1 leaves a
-  // sub-budget of 0, mirroring a classic child entered right at the trip
-  // point (finals are still recorded — the budget check runs after the
-  // final-state check).
-  const long budget = options.max_total_steps;
-  const long num_shards = static_cast<long>(eligible.size());
-
-  ThreadPool pool(static_cast<int>(std::min(
-      static_cast<size_t>(options.num_threads), eligible.size())));
-  pool.ParallelFor(eligible.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      STARBURST_TRACE_SPAN("explorer", "explore.shard");
-      RuleProcessingState state = root;
-      auto step = ConsiderRule(catalog, &state, eligible[k]);
-      if (!step.ok()) {
-        shards[k].error = step.status();
-        continue;
-      }
-      ExplorationResult& out = shards[k].result;
-      if (step.value().rollback) {
-        // Top-level rollback: the path ends at the initial database.
-        out.steps_taken = 1;
-        out.states_visited = 1;  // the synthetic rollback state
-        out.stats.states_interned = 2;  // root seed + rollback (see merge)
-        out.final_databases.emplace(rollback_fingerprint, initial_db);
-        out.final_states.insert(rollback_fingerprint);
-        if (!options.dedup_subtrees) {
-          out.observable_streams.insert(
-              StreamToString(step.value().observables));
-        }
-        continue;
-      }
-      ExplorerOptions sub_options = shard_options;
-      sub_options.max_total_steps =
-          budget / num_shards +
-          (static_cast<long>(k) < budget % num_shards ? 1 : 0) - 1;
-      ExplorerImpl impl(catalog, initial_db, sub_options, por_safe);
-      if (undo) {
-        impl.SeedRootOnPathFp(root_fp);
-      } else {
-        impl.SeedRootOnPath(root_key);
-      }
-      if (!options.dedup_subtrees) impl.SeedStream(step.value().observables);
-      auto result = impl.RunFromState(std::move(state));
-      if (!result.ok()) {
-        shards[k].error = result.status();
-        continue;
-      }
-      shards[k].result = std::move(result).value();
-      shards[k].result.steps_taken += 1;  // the top-level consideration
-    }
-  });
-
-  for (ShardOutcome& shard : shards) {
-    if (!shard.error.ok()) return shard.error;
-    ExplorationResult& r = shard.result;
-    merged.complete = merged.complete && r.complete;
-    merged.may_not_terminate =
-        merged.may_not_terminate || r.may_not_terminate;
-    merged.final_states.insert(r.final_states.begin(), r.final_states.end());
-    for (auto& [fingerprint, db] : r.final_databases) {
-      merged.final_databases.emplace(fingerprint, std::move(db));
-    }
-    merged.observable_streams.insert(r.observable_streams.begin(),
-                                     r.observable_streams.end());
-    merged.states_visited += r.states_visited;
-    merged.steps_taken += r.steps_taken;
-    STARBURST_METRIC_HISTOGRAM("explorer.shard_states", ShardStatesBounds(),
-                               r.states_visited);
-    // Counter aggregates: states shared between sibling subtrees are
-    // counted once per shard; the seeded root id is discounted here.
-    merged.stats.states_interned += r.stats.states_interned - 1;
-    merged.stats.dedup_hits += r.stats.dedup_hits;
-    merged.stats.interner_hits += r.stats.interner_hits;
-    merged.stats.canonicalization_bytes += r.stats.canonicalization_bytes;
-    merged.stats.delta_reverts += r.stats.delta_reverts;
-    merged.stats.por_pruned_orders += r.stats.por_pruned_orders;
-    merged.stats.peak_stack_depth = std::max(
-        merged.stats.peak_stack_depth, r.stats.peak_stack_depth + 1);
-  }
-  // Strictly greater than the cap: a union of EXACTLY max_streams fully
-  // enumerated streams is complete — only a stream beyond the cap
-  // truncates (mirrors the classic RecordStream boundary, pinned by the
-  // at-cap / cap-plus-one explorer tests).
-  if (!options.dedup_subtrees &&
-      static_cast<int>(merged.observable_streams.size()) >
-          options.max_streams) {
-    auto it = merged.observable_streams.begin();
-    std::advance(it, options.max_streams);
-    merged.observable_streams.erase(it, merged.observable_streams.end());
-    merged.complete = false;
-  }
-  merged.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return merged;
-}
-
 /// Flushes one exploration's counters into the process registry. Called
-/// once per exploration with the MERGED result, never per shard, so the
-/// registered totals are identical whether the exploration ran classic or
-/// sharded and for any worker count. Wall time goes to a gauge (cumulative
-/// microseconds) — it is real time and thus outside the counter
-/// determinism contract; states/sec is states_visited / wall_us.
+/// once per exploration with the final result (after the work-stealing
+/// merge), so the registered totals are identical for any worker count.
+/// Wall time goes to a gauge (cumulative microseconds) — it is real time
+/// and thus outside the counter determinism contract; states/sec is
+/// states_visited / wall_us.
 void FlushExplorationMetrics(const ExplorationResult& r) {
   if (!metrics::Enabled()) return;
   STARBURST_METRIC_COUNT("explorer.explorations", 1);
@@ -1783,8 +1182,10 @@ void FlushExplorationMetrics(const ExplorationResult& r) {
   }
 }
 
-/// Dispatches between the classic single-threaded explorer, the
-/// work-stealing parallel mode, and the legacy sharded mode (dedup only).
+/// Dispatches between the classic single-threaded walk and the
+/// work-stealing parallel mode. `record_graph` needs globally dense node
+/// ids and `dedup_subtrees` a visit-order-dependent memo, so both run the
+/// classic walk at every num_threads.
 Result<ExplorationResult> RunExploration(const RuleCatalog& catalog,
                                          const Database& initial_db,
                                          const Transition& initial_transition,
@@ -1792,27 +1193,16 @@ Result<ExplorationResult> RunExploration(const RuleCatalog& catalog,
   std::optional<metrics::ScopedCollect> collect;
   if (options.collect_metrics) collect.emplace();
   STARBURST_TRACE_SPAN("explorer", "explore");
-  // The POR safety bitvector is computed once, before any shard spawns,
-  // and shared read-only by every ExplorerImpl of this exploration.
+  // The POR safety bitvector is computed once and shared read-only by
+  // every worker (and the fallback walk) of this exploration.
   const std::vector<bool> por_safe_storage = PorSafeRules(catalog, options);
   const std::vector<bool>* por_safe =
       por_safe_storage.empty() ? nullptr : &por_safe_storage;
   Result<ExplorationResult> result = [&]() -> Result<ExplorationResult> {
-    if (options.num_threads >= 1 && !options.record_graph) {
-      if (options.dedup_subtrees) {
-        // The subtree memo is schedule-dependent under concurrent workers
-        // (memo soundness depends on visit order), so dedup mode keeps the
-        // deterministic top-level sharding.
-        return ExploreSharded(catalog, initial_db, initial_transition,
-                              options, por_safe);
-      }
-      if (options.num_threads >= 2) {
-        WorkStealingExplorer stealing(catalog, initial_db, options,
-                                      por_safe);
-        return stealing.Run(initial_transition);
-      }
-      // num_threads == 1: one worker is the classic walk — skip pool and
-      // shared-structure setup entirely.
+    if (options.num_threads >= 2 && !options.record_graph &&
+        !options.dedup_subtrees) {
+      WorkStealingExplorer stealing(catalog, initial_db, options, por_safe);
+      return stealing.Run(initial_transition);
     }
     ExplorerImpl impl(catalog, initial_db, options, por_safe);
     return impl.Run(initial_transition);
@@ -1835,18 +1225,8 @@ Result<ExplorationResult> Explorer::ExploreAfterStatements(
     const std::vector<std::string>& user_statements,
     const ExplorerOptions& options) {
   Database db = initial_db;
-  Executor executor(&db);
-  Transition initial_transition;
-  for (const std::string& sql : user_statements) {
-    STARBURST_ASSIGN_OR_RETURN(StmtPtr stmt, Parser::ParseStatement(sql));
-    STARBURST_ASSIGN_OR_RETURN(ExecOutcome outcome,
-                               executor.Execute(*stmt, nullptr, nullptr));
-    if (outcome.rollback) {
-      return Status::InvalidArgument(
-          "user statements for exploration must not roll back");
-    }
-    STARBURST_RETURN_IF_ERROR(initial_transition.Compose(outcome.delta));
-  }
+  STARBURST_ASSIGN_OR_RETURN(Transition initial_transition,
+                             ApplyUserStatements(&db, user_statements));
   return RunExploration(catalog, db, initial_transition, options);
 }
 

@@ -17,23 +17,6 @@ namespace starburst {
 /// be exponential in the number of unordered rules, so every dimension is
 /// bounded; hitting a bound is reported, not an error.
 struct ExplorerOptions {
-  /// How the explorer manages per-branch state while backtracking.
-  ///
-  ///   kUndoLog       (default) One live database stepped forward with
-  ///                  Database::BeginDelta and backtracked with
-  ///                  RevertDelta; states are interned by incremental
-  ///                  128-bit content fingerprints and canonical strings
-  ///                  are materialized only for final-state reporting.
-  ///                  Each step costs O(delta), not O(database).
-  ///   kSnapshotCopy  The original whole-database value copy per DFS
-  ///                  branch with full canonical-string intern keys. Kept
-  ///                  as the differential-testing reference (see the
-  ///                  delta_equivalence fuzz oracle); both backends
-  ///                  produce identical results — fingerprint collisions
-  ///                  aside, which at 128 bits are negligible and are
-  ///                  cross-checked by that oracle.
-  enum class StateBackend { kUndoLog, kSnapshotCopy };
-  StateBackend backend = StateBackend::kUndoLog;
   /// Maximum depth (rule considerations) along any path.
   int max_depth = 64;
   /// Maximum number of path steps explored in total.
@@ -55,18 +38,16 @@ struct ExplorerOptions {
   /// (false) when stream enumeration matters.
   bool dedup_subtrees = false;
   /// Opt-in parallel exploration. 0 (default) and 1 are the classic
-  /// single-threaded walk (1 skips pool setup entirely). >= 2 runs a
-  /// work-stealing search: each worker owns its own database + undo-log
-  /// backend and walks depth-first; every frame with two or more eligible
-  /// rules is published to the worker's steal deque, and an idle worker
-  /// steals the shallowest one, replays its firing path from the root on
-  /// its own state, and claims untaken children through the frame's shared
-  /// atomic cursor. States are interned in ONE shared striped hash set
-  /// keyed by 128-bit fingerprints (common/striped_set.h), so a state seen
-  /// by any worker is counted once globally, and `max_total_steps` is a
-  /// single atomic claimed per edge — no per-shard budget slices, so an
-  /// unbalanced subtree can never trip a slice when the classic walk would
-  /// fit. POR's ample-set reduction applies at every state.
+  /// single-threaded walk. >= 2 runs a work-stealing search: each worker
+  /// owns its own database + undo log and walks depth-first; every frame
+  /// with two or more eligible rules is published to the worker's steal
+  /// deque, and an idle worker steals the shallowest one, replays its
+  /// firing path from the root on its own state, and claims untaken
+  /// children through the frame's shared atomic cursor. States are interned
+  /// in ONE shared striped hash set keyed by 128-bit fingerprints
+  /// (common/striped_set.h), so a state seen by any worker is counted once
+  /// globally, and `max_total_steps` is a single atomic claimed per edge.
+  /// POR's ample-set reduction applies at every state.
   ///
   /// Parallelism is adaptive: worker 0 walks alone on the calling thread
   /// and starts the num_threads - 1 helper threads only once the walk has
@@ -81,17 +62,16 @@ struct ExplorerOptions {
   /// states, observable streams, `complete`, `may_not_terminate`,
   /// `steps_taken`, and every ExplorationStats counter except the
   /// scheduling telemetry (`steals`, `helper_threads`,
-  /// `shared_interner_hits`, `parallel_fallbacks`), for any num_threads
-  /// and either backend: a parallel attempt either completes
-  /// (the enumerated tree is provably the classic tree) or is discarded
-  /// and the classic walk is rerun once (budget / depth / stream-cap trips
-  /// and errors are schedule-dependent mid-flight, so truncated results
-  /// always come from the deterministic classic walk; the rerun is bounded
-  /// by the same limits that tripped, and is counted in
-  /// `ExplorationStats::parallel_fallbacks`). Two carve-outs use the
-  /// legacy deterministic top-level sharding instead of stealing:
-  /// `record_graph` (needs globally dense node ids — classic mode) and
-  /// `dedup_subtrees` (the memo is schedule-dependent under concurrency).
+  /// `shared_interner_hits`, `parallel_fallbacks`), for any num_threads:
+  /// a parallel attempt either completes (the enumerated tree is provably
+  /// the classic tree) or is discarded and the classic walk is rerun once
+  /// (budget / depth / stream-cap trips and errors are schedule-dependent
+  /// mid-flight, so truncated results always come from the deterministic
+  /// classic walk; the rerun is bounded by the same limits that tripped,
+  /// and is counted in `ExplorationStats::parallel_fallbacks`).
+  /// `record_graph` (needs globally dense node ids) and `dedup_subtrees`
+  /// (the memo depends on visit order) always run the classic walk, so
+  /// num_threads changes nothing in those modes.
   int num_threads = 0;
   /// Commutativity-guided partial-order reduction (ample-set style). At a
   /// state whose eligible set contains a "safe" rule — one that (a)
@@ -136,18 +116,17 @@ struct ExplorationStats {
   long dedup_hits = 0;
   /// Intern lookups that found an already-interned state (revisits and
   /// cycle hits). The interner hit rate is
-  /// interner_hits / (interner_hits + states_interned). In sharded mode
-  /// this aggregates per-shard work, like `states_visited`.
+  /// interner_hits / (interner_hits + states_interned).
   long interner_hits = 0;
   /// Maximum depth of the explicit DFS stack.
   int peak_stack_depth = 0;
-  /// Total bytes of canonical renderings built. In the snapshot-copy
-  /// backend this is the full state-key volume; in the undo-log backend
-  /// only final-state / rollback materializations are counted — per-visit
-  /// fingerprints are maintained incrementally and render nothing.
+  /// Total bytes of canonical database renderings built: one per distinct
+  /// final database (the rollback final included), rendered when first
+  /// reached. Per-visit state fingerprints are maintained incrementally and
+  /// render nothing.
   long canonicalization_bytes = 0;
-  /// Undo-log backend only: number of delta reverts taken while
-  /// backtracking (0 in the snapshot-copy backend).
+  /// Undo-log delta reverts taken while backtracking: one per edge that
+  /// stepped the live state forward.
   long delta_reverts = 0;
   /// Sibling expansion orders pruned by commutativity-guided partial-order
   /// reduction (ExplorerOptions::por). 0 when reduction is off or never
@@ -262,6 +241,14 @@ std::string ObservableStreamToString(const std::vector<ObservableEvent>& stream)
 /// A ROLLBACK action terminates its path: the final database is
 /// `initial_db` (transaction aborted) and the path's observable stream
 /// includes the rollback event.
+///
+/// One live database is stepped forward with Database::BeginDelta and
+/// backtracked with RevertDelta, so each step costs O(delta), not
+/// O(database). States are interned by incremental 128-bit content
+/// fingerprints; canonical strings are rendered only for final states.
+/// fuzzing::ReferenceExplore (testing/reference_explorer.h) is the
+/// independent string-keyed, copy-per-branch walk this engine is
+/// differentially tested against.
 class Explorer {
  public:
   static Result<ExplorationResult> Explore(const RuleCatalog& catalog,

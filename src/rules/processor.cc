@@ -41,6 +41,33 @@ bool IsTriggered(const RuleCatalog& catalog, const RuleProcessingState& state,
 
 }  // namespace
 
+std::string CanonicalStateKey(const RuleProcessingState& state) {
+  std::string key;
+  state.db.AppendCanonicalString(&key);
+  key += '#';
+  for (const Transition& t : state.pending) {
+    t.AppendCanonicalString(&key);
+    key += '|';
+  }
+  return key;
+}
+
+Result<Transition> ApplyUserStatements(
+    Database* db, const std::vector<std::string>& user_statements) {
+  Executor executor(db);
+  Transition initial;
+  for (const std::string& sql : user_statements) {
+    STARBURST_ASSIGN_OR_RETURN(StmtPtr stmt, Parser::ParseStatement(sql));
+    STARBURST_ASSIGN_OR_RETURN(ExecOutcome outcome,
+                               executor.Execute(*stmt, nullptr, nullptr));
+    if (outcome.rollback) {
+      return Status::InvalidArgument("user statements must not roll back");
+    }
+    STARBURST_RETURN_IF_ERROR(initial.Compose(outcome.delta));
+  }
+  return initial;
+}
+
 std::vector<RuleIndex> TriggeredRules(const RuleCatalog& catalog,
                                       const RuleProcessingState& state) {
   std::vector<RuleIndex> out;

@@ -23,13 +23,28 @@ struct RuleProcessingState {
   Database db;
   std::vector<Transition> pending;  // one per rule
   /// When set, ConsiderRule logs the inverse of every pending-transition
-  /// mutation here so the explorer's undo-log backend can backtrack by
-  /// reverting instead of copying `pending`. Null for the plain processor.
+  /// mutation here so the explorer can backtrack by reverting instead of
+  /// copying `pending`. Null for the plain processor.
   TransitionUndoLog* pending_undo = nullptr;
 
   RuleProcessingState(const Schema* schema, int num_rules)
       : db(schema), pending(num_rules) {}
 };
+
+/// Canonical key of an execution state: the database's canonical string,
+/// '#', then each pending transition's canonical string followed by '|'.
+/// The database part ignores tuple ids; the pending part does not, so
+/// logically equal states reached with different tuple ids get distinct
+/// keys (extra exploration, never a wrong result). The explorer's 128-bit
+/// state fingerprints draw exactly these equivalence classes.
+std::string CanonicalStateKey(const RuleProcessingState& state);
+
+/// Executes `user_statements` against `*db` in order and returns their
+/// composed net effect: the user-generated initial transition of Section 4
+/// that rule processing (and exploration) starts from. InvalidArgument when
+/// a statement rolls back.
+Result<Transition> ApplyUserStatements(
+    Database* db, const std::vector<std::string>& user_statements);
 
 /// Rules currently triggered: those whose pending transition's net effect
 /// on their table intersects Triggered-By (ascending rule index).

@@ -14,6 +14,7 @@
 #include "rulelang/printer.h"
 #include "rules/explorer.h"
 #include "rules/rule_catalog.h"
+#include "testing/reference_explorer.h"
 
 namespace starburst {
 namespace fuzzing {
@@ -164,8 +165,7 @@ OracleOutcome BackendEquivalence(const GeneratedRuleSet& set,
   // accounting — UNCONDITIONALLY. The parallel engine shares one atomic
   // step budget and one interner, and any bound trip aborts the parallel
   // attempt and reruns the classic walk, so even truncated enumerations
-  // must be bit-identical (the old per-shard budget slices allowed
-  // different truncation frontiers; that escape hatch is gone).
+  // must be bit-identical.
   ExplorerOptions classic_options = ExploreOptions(options);
   auto classic = Explorer::Explore(prepared.value().catalog,
                                    prepared.value().db,
@@ -211,9 +211,9 @@ OracleOutcome DeltaEquivalence(const GeneratedRuleSet& set,
   if (!prepared.ok()) return Fail(prepared.status().ToString());
 
   // Full analysis report, rendered before any exploration and again after
-  // the whole sweep: exploration under either backend must not perturb
-  // analysis results (it shares the catalog, schema, and the databases'
-  // mutable canonical-string caches).
+  // the whole sweep: exploration must not perturb analysis results (it
+  // shares the catalog, schema, and the databases' mutable canonical-string
+  // caches).
   auto report_json = [&set]() -> Result<std::string> {
     std::vector<RuleDef> rules;
     for (const RuleDef& r : set.rules) rules.push_back(r.Clone());
@@ -225,52 +225,54 @@ OracleOutcome DeltaEquivalence(const GeneratedRuleSet& set,
   auto before = report_json();
   if (!before.ok()) return Fail(before.status().ToString());
 
-  // Reference: the snapshot-copy backend, classic single-threaded mode.
-  ExplorerOptions copy_options = ExploreOptions(options);
-  copy_options.backend = ExplorerOptions::StateBackend::kSnapshotCopy;
+  // Reference: the string-keyed, copy-per-branch walk, which enumerates
+  // every order — so POR is pinned off on the engine side too.
+  ExplorerOptions engine_options = ExploreOptions(options);
+  engine_options.por = ExplorerOptions::PorMode::kOff;
   auto reference =
-      Explorer::Explore(prepared.value().catalog, prepared.value().db,
-                        prepared.value().initial, copy_options);
+      ReferenceExplore(prepared.value().catalog, prepared.value().db,
+                       prepared.value().initial, engine_options);
   if (!reference.ok()) return Fail(reference.status().ToString());
 
-  // Sweep: the undo-log backend in classic mode (num_threads=0) and at
-  // every work-stealing pool size. The parallel engine either completes
-  // with a provably classic-identical enumeration or falls back to the
-  // classic walk, so every leg of the sweep is compared unconditionally —
+  // Sweep: the engine in classic mode (num_threads=0) and at every
+  // work-stealing pool size. The parallel engine either completes with a
+  // provably classic-identical enumeration or falls back to the classic
+  // walk, so every leg of the sweep is compared unconditionally —
   // truncated runs included.
   std::vector<int> sweep = {0};
   sweep.insert(sweep.end(), options.backend_thread_counts.begin(),
                options.backend_thread_counts.end());
   for (int threads : sweep) {
-    ExplorerOptions undo_options = ExploreOptions(options);
-    undo_options.backend = ExplorerOptions::StateBackend::kUndoLog;
-    undo_options.num_threads = threads;
-    auto undo = Explorer::Explore(prepared.value().catalog,
-                                  prepared.value().db,
-                                  prepared.value().initial, undo_options);
-    if (!undo.ok()) return Fail(undo.status().ToString());
-    std::string where =
-        "undo-log explorer (num_threads=" + std::to_string(threads) +
-        ") diverged from snapshot-copy classic: ";
-    if (undo.value().complete != reference.value().complete) {
+    engine_options.num_threads = threads;
+    auto engine = Explorer::Explore(prepared.value().catalog,
+                                    prepared.value().db,
+                                    prepared.value().initial, engine_options);
+    if (!engine.ok()) return Fail(engine.status().ToString());
+    std::string where = "undo-log explorer (num_threads=" +
+                        std::to_string(threads) +
+                        ") diverged from the reference walk: ";
+    if (engine.value().complete != reference.value().complete) {
       return Fail(where + "completeness differs");
     }
-    if (undo.value().final_states != reference.value().final_states) {
+    if (engine.value().final_states != reference.value().final_states) {
       return Fail(where + "final-state sets differ");
     }
-    if (undo.value().observable_streams !=
+    if (engine.value().observable_streams !=
         reference.value().observable_streams) {
       return Fail(where + "observable-stream sets differ");
     }
-    if (undo.value().may_not_terminate !=
+    if (engine.value().may_not_terminate !=
         reference.value().may_not_terminate) {
       return Fail(where + "termination verdicts differ");
     }
     // Equal counts mean the fingerprint equivalence classes match the
     // canonical-string classes exactly; the shared interner keeps the
     // count pool-size-invariant, so the check covers every leg.
-    if (undo.value().states_visited != reference.value().states_visited) {
+    if (engine.value().states_visited != reference.value().states_visited) {
       return Fail(where + "visited-state counts differ");
+    }
+    if (engine.value().steps_taken != reference.value().steps_taken) {
+      return Fail(where + "step counts differ");
     }
   }
 
@@ -278,7 +280,7 @@ OracleOutcome DeltaEquivalence(const GeneratedRuleSet& set,
   if (!after.ok()) return Fail(after.status().ToString());
   if (after.value() != before.value()) {
     return Fail(
-        "FullReportToJson is not bit-identical before and after backend "
+        "FullReportToJson is not bit-identical before and after "
         "exploration");
   }
   return Pass();

@@ -31,18 +31,25 @@ namespace fuzzing {
 ///   kObservableDeterminismSound Theorem 8.1 (Section 8): a determinism
 ///                               certificate implies one observable
 ///                               stream.
-///   kBackendEquivalence         classic vs sharded explorer and
-///                               1/2/8-thread analysis produce identical
-///                               results (the parallel backend's
+///   kBackendEquivalence         the classic and the work-stealing
+///                               explorer (1/2/8 workers) agree on final
+///                               states, streams, verdicts, completeness,
+///                               visited states and steps, and
+///                               1/2/8-thread analysis renders identical
+///                               FullReportToJson (the parallel backend's
 ///                               determinism contract).
 ///   kRoundTrip                  print -> parse -> print is a fixpoint for
 ///                               generated rules and whole scripts.
-///   kDeltaEquivalence           the undo-log state backend (incremental
-///                               fingerprints + delta reverts) and the
-///                               snapshot-copy backend produce identical
-///                               final-state sets, observable streams, and
-///                               verdicts — classic and at every sharded
-///                               worker count — and exploration leaves
+///   kDeltaEquivalence           the undo-log explorer (incremental
+///                               fingerprints + delta reverts) agrees with
+///                               ReferenceExplore, the string-keyed
+///                               copy-per-branch walk
+///                               (testing/reference_explorer.h), on
+///                               final-state sets, observable streams,
+///                               verdicts, completeness, visited states
+///                               and steps — classic and at every
+///                               work-stealing worker count, POR off on
+///                               both sides — and exploration leaves
 ///                               FullReportToJson bit-identical.
 ///   kPorEquivalence             commutativity-guided partial-order
 ///                               reduction (ExplorerOptions::por) prunes
@@ -50,7 +57,7 @@ namespace fuzzing {
 ///                               exploration produce identical final
 ///                               states, observable streams, and
 ///                               may-not-terminate verdicts, classic and
-///                               at every sharded worker count (the
+///                               at every work-stealing worker count (the
 ///                               Lemma 6.1 ample-set soundness contract).
 ///   kIncrementalEquivalence     the §9 incremental analyzer and a
 ///                               from-scratch analysis agree exactly —

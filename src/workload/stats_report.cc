@@ -203,9 +203,6 @@ Result<StatsReport> Run(const StatsReportOptions& options) {
 
   ExplorerOptions explorer_options;
   explorer_options.num_threads = options.explorer_threads;
-  explorer_options.backend = options.snapshot_backend
-                                 ? ExplorerOptions::StateBackend::kSnapshotCopy
-                                 : ExplorerOptions::StateBackend::kUndoLog;
   Result<ExplorationResult> explored = Explorer::ExploreAfterStatements(
       catalog, post_setup, w.sample_transaction, explorer_options);
   if (!explored.ok()) return explored.status();

@@ -23,8 +23,6 @@ struct StatsReportOptions {
   uint64_t data_seed = 1;
   /// ExplorerOptions::num_threads for the exploration (0 = classic).
   int explorer_threads = 0;
-  /// Use the snapshot-copy state backend instead of the undo log.
-  bool snapshot_backend = false;
   /// When non-empty, a trace session (common/trace.h) covers the run and
   /// is written here as Chrome trace-event JSON. Fails if a session is
   /// already active (e.g. via STARBURST_TRACE).

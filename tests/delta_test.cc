@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/database.h"
 #include "engine/fingerprint.h"
@@ -10,6 +11,7 @@
 #include "rulelang/parser.h"
 #include "rules/explorer.h"
 #include "rules/processor.h"
+#include "testing/reference_explorer.h"
 
 namespace starburst {
 namespace {
@@ -198,6 +200,16 @@ class DeltaEngineTest : public ::testing::Test {
     catalog_ = std::make_unique<RuleCatalog>(std::move(catalog).value());
   }
 
+  /// The reference walk's counterpart of Explorer::ExploreAfterStatements.
+  Result<ExplorationResult> ReferenceAfterStatements(
+      const Database& initial_db, const std::vector<std::string>& stmts,
+      const ExplorerOptions& options) {
+    Database db = initial_db;
+    STARBURST_ASSIGN_OR_RETURN(Transition initial,
+                               ApplyUserStatements(&db, stmts));
+    return fuzzing::ReferenceExplore(*catalog_, db, initial, options);
+  }
+
   Schema schema_;
   std::unique_ptr<RuleCatalog> catalog_;
 };
@@ -251,16 +263,14 @@ TEST_F(DeltaEngineTest, ExplorerBackendsAgreeWhenBudgetTripsMidPath) {
   Database db(&schema_);
 
   for (long budget = 0; budget <= 6; ++budget) {
-    ExplorerOptions copy_options;
-    copy_options.backend = ExplorerOptions::StateBackend::kSnapshotCopy;
-    copy_options.max_total_steps = budget;
-    ExplorerOptions undo_options = copy_options;
-    undo_options.backend = ExplorerOptions::StateBackend::kUndoLog;
+    ExplorerOptions options;
+    options.por = ExplorerOptions::PorMode::kOff;
+    options.max_total_steps = budget;
 
-    auto copy = Explorer::ExploreAfterStatements(
-        *catalog_, db, {"insert into a values (1)"}, copy_options);
+    auto copy = ReferenceAfterStatements(db, {"insert into a values (1)"},
+                                         options);
     auto undo = Explorer::ExploreAfterStatements(
-        *catalog_, db, {"insert into a values (1)"}, undo_options);
+        *catalog_, db, {"insert into a values (1)"}, options);
     ASSERT_TRUE(copy.ok()) << copy.status().ToString();
     ASSERT_TRUE(undo.ok()) << undo.status().ToString();
     EXPECT_FALSE(undo.value().complete) << "budget=" << budget;
@@ -287,16 +297,13 @@ TEST_F(DeltaEngineTest, ExplorerBackendsAgreeOnDivergentFinalStates) {
        "(select * from b where x > 8) then rollback;");
   Database db(&schema_);
 
-  ExplorerOptions copy_options;
-  copy_options.backend = ExplorerOptions::StateBackend::kSnapshotCopy;
-  ExplorerOptions undo_options;
-  undo_options.backend = ExplorerOptions::StateBackend::kUndoLog;
+  ExplorerOptions options;
+  options.por = ExplorerOptions::PorMode::kOff;
   const std::vector<std::string> stmts = {"insert into a values (2), (9)"};
 
-  auto copy = Explorer::ExploreAfterStatements(*catalog_, db, stmts,
-                                               copy_options);
-  auto undo = Explorer::ExploreAfterStatements(*catalog_, db, stmts,
-                                               undo_options);
+  auto copy = ReferenceAfterStatements(db, stmts, options);
+  auto undo =
+      Explorer::ExploreAfterStatements(*catalog_, db, stmts, options);
   ASSERT_TRUE(copy.ok()) << copy.status().ToString();
   ASSERT_TRUE(undo.ok()) << undo.status().ToString();
   EXPECT_TRUE(undo.value().complete);

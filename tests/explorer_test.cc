@@ -2,10 +2,10 @@
 
 #include <set>
 #include <string>
-#include <unordered_set>
 
 #include "rulelang/parser.h"
 #include "rules/explorer.h"
+#include "testing/reference_explorer.h"
 #include "workload/random_gen.h"
 
 namespace starburst {
@@ -286,6 +286,21 @@ TEST_F(ExplorerTest, DeepLinearCascadeDoesNotOverflowStack) {
   EXPECT_EQ(final_db.storage(0).rows().begin()->second[0], Value::Int(400));
 }
 
+// The re-convergent catalog of DedupSubtreesPreservesFinalStates (tables a
+// and b), shared with the dedup thread-count test below.
+constexpr const char* kReconvergentRules =
+    "create rule n1 on a when inserted "
+    "if exists (select * from a where x > 100) "
+    "then insert into b values (1); "
+    "create rule n2 on a when inserted "
+    "if exists (select * from a where x > 200) "
+    "then insert into b values (2); "
+    "create rule n3 on a when inserted "
+    "if exists (select * from a where x > 300) "
+    "then insert into b values (3); "
+    "create rule act on a when inserted "
+    "then insert into b values (9);";
+
 // dedup_subtrees prunes shared subtrees but must preserve the final-state
 // set and the termination verdict; streams are intentionally skipped.
 TEST_F(ExplorerTest, DedupSubtreesPreservesFinalStates) {
@@ -295,18 +310,7 @@ TEST_F(ExplorerTest, DedupSubtreesPreservesFinalStates) {
   // per ordered prefix), plus one acting rule to produce a nontrivial
   // final database. This is the re-convergent shape where subtree
   // memoization pays off.
-  Load("create table a (x int); create table b (x int);",
-       "create rule n1 on a when inserted "
-       "if exists (select * from a where x > 100) "
-       "then insert into b values (1); "
-       "create rule n2 on a when inserted "
-       "if exists (select * from a where x > 200) "
-       "then insert into b values (2); "
-       "create rule n3 on a when inserted "
-       "if exists (select * from a where x > 300) "
-       "then insert into b values (3); "
-       "create rule act on a when inserted "
-       "then insert into b values (9);");
+  Load("create table a (x int); create table b (x int);", kReconvergentRules);
   // All four rules are silent and commute, so POR would collapse the
   // permutations before the memo ever gets a revisit; this test is about
   // the memo, so reduction is pinned off.
@@ -373,125 +377,12 @@ TEST_F(ExplorerTest, DedupSubtreesDetectsNontermination) {
 }
 
 // ---------------------------------------------------------------------------
-// Old-vs-new equivalence: a straightforward recursive, string-keyed
-// reference explorer (the seed implementation's shape) must agree with the
-// iterative interned explorer on final_states, observable_streams, and
-// may_not_terminate over randomized workloads.
+// Engine-vs-reference equivalence: the recursive, string-keyed,
+// copy-per-branch reference walk (testing/reference_explorer.h) must agree
+// with the iterative undo-log explorer on final_states, observable_streams,
+// may_not_terminate, completeness, visit and step accounting over
+// randomized workloads.
 // ---------------------------------------------------------------------------
-
-struct ReferenceResult {
-  bool complete = true;
-  bool may_not_terminate = false;
-  std::set<std::string> final_states;
-  std::set<std::string> observable_streams;
-  long steps_taken = 0;
-};
-
-class ReferenceExplorer {
- public:
-  ReferenceExplorer(const RuleCatalog& catalog, const Database& initial_db,
-                    const ExplorerOptions& options)
-      : catalog_(catalog), initial_db_(initial_db), options_(options) {}
-
-  Result<ReferenceResult> Run(const Transition& initial_transition) {
-    RuleProcessingState state(&catalog_.schema(), catalog_.num_rules());
-    state.db = initial_db_;
-    for (Transition& t : state.pending) t = initial_transition;
-    std::vector<ObservableEvent> stream;
-    auto status = Dfs(state, stream, 0);
-    if (!status.ok()) return status;
-    return std::move(result_);
-  }
-
- private:
-  static std::string StreamKey(const std::vector<ObservableEvent>& stream) {
-    std::string out;
-    for (const ObservableEvent& ev : stream) {
-      out += ev.kind == ObservableEvent::Kind::kRollback ? "R:" : "S:";
-      out += ev.payload;
-      out += "\n";
-    }
-    return out;
-  }
-
-  static std::string StateKey(const RuleProcessingState& state) {
-    std::string key = state.db.CanonicalString();
-    key += "#";
-    for (const Transition& t : state.pending) {
-      key += t.CanonicalString();
-      key += "|";
-    }
-    return key;
-  }
-
-  void RecordFinal(const Database& db,
-                   const std::vector<ObservableEvent>& stream) {
-    result_.final_states.insert(db.CanonicalString());
-    std::string s = StreamKey(stream);
-    if (static_cast<int>(result_.observable_streams.size()) <
-        options_.max_streams) {
-      result_.observable_streams.insert(std::move(s));
-    } else if (result_.observable_streams.count(s) == 0) {
-      result_.complete = false;
-    }
-  }
-
-  Status Dfs(const RuleProcessingState& state,
-             std::vector<ObservableEvent>& stream, int depth) {
-    std::string key = StateKey(state);
-    if (on_path_.count(key) > 0) {
-      result_.may_not_terminate = true;
-      return Status::OK();
-    }
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, state);
-    if (triggered.empty()) {
-      RecordFinal(state.db, stream);
-      return Status::OK();
-    }
-    if (result_.steps_taken >= options_.max_total_steps) {
-      result_.complete = false;
-      return Status::OK();
-    }
-    if (depth >= options_.max_depth) {
-      result_.complete = false;
-      result_.may_not_terminate = true;
-      return Status::OK();
-    }
-    std::vector<RuleIndex> eligible = catalog_.priority().Choose(triggered);
-    on_path_.insert(key);
-    for (RuleIndex r : eligible) {
-      ++result_.steps_taken;
-      RuleProcessingState next = state;
-      auto step = ConsiderRule(catalog_, &next, r);
-      if (!step.ok()) {
-        on_path_.erase(key);
-        return step.status();
-      }
-      size_t mark = stream.size();
-      for (const ObservableEvent& ev : step.value().observables) {
-        stream.push_back(ev);
-      }
-      if (step.value().rollback) {
-        RecordFinal(initial_db_, stream);
-      } else {
-        Status st = Dfs(next, stream, depth + 1);
-        if (!st.ok()) {
-          on_path_.erase(key);
-          return st;
-        }
-      }
-      stream.resize(mark);
-    }
-    on_path_.erase(key);
-    return Status::OK();
-  }
-
-  const RuleCatalog& catalog_;
-  const Database& initial_db_;
-  const ExplorerOptions& options_;
-  ReferenceResult result_;
-  std::unordered_set<std::string> on_path_;
-};
 
 TEST(ExplorerEquivalenceTest, MatchesReferenceOnRandomWorkloads) {
   int explored = 0;
@@ -526,8 +417,8 @@ TEST(ExplorerEquivalenceTest, MatchesReferenceOnRandomWorkloads) {
     options.max_total_steps = 8000;
     // The reference explorer enumerates every order; compare like-for-like.
     options.por = ExplorerOptions::PorMode::kOff;
-    ReferenceExplorer reference(catalog.value(), db, options);
-    auto expected = reference.Run(initial);
+    auto expected =
+        fuzzing::ReferenceExplore(catalog.value(), db, initial, options);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
     auto actual = Explorer::Explore(catalog.value(), db, initial, options);
@@ -544,6 +435,8 @@ TEST(ExplorerEquivalenceTest, MatchesReferenceOnRandomWorkloads) {
         << "completeness diverged, seed " << seed;
     EXPECT_EQ(actual.value().steps_taken, expected.value().steps_taken)
         << "step counts diverged, seed " << seed;
+    EXPECT_EQ(actual.value().states_visited, expected.value().states_visited)
+        << "visited-state counts diverged, seed " << seed;
 
     // Dedup mode: final-state set and termination verdict must also agree.
     ExplorerOptions dedup = options;
@@ -562,17 +455,16 @@ TEST(ExplorerEquivalenceTest, MatchesReferenceOnRandomWorkloads) {
   EXPECT_GE(explored, 20);
 }
 
-// --- Sharded (num_threads >= 1) mode: classic-equivalence on fixed
+// --- Parallel (num_threads >= 1) mode: classic-equivalence on fixed
 // workloads covering every top-level shape: branching with convergent and
-// divergent finals, rollback shards, cycles through the root, observable
+// divergent finals, rollback branches, cycles through the root, observable
 // streams, and the no-triggered-rules root-final case.
 
 class ShardedExplorerTest : public ExplorerTest {
  protected:
-  // Explores with the classic engine and with 1, 2, and 8 shard workers,
+  // Explores with the classic engine and with 1, 2, and 8 workers,
   // asserting the documented invariant: identical verdicts, final states,
-  // and observable streams for every num_threads >= 1, and identical to
-  // classic whenever both runs are complete.
+  // observable streams, and visit accounting for every num_threads.
   void ExpectShardedMatchesClassic(const std::vector<std::string>& stmts,
                                    ExplorerOptions options = {}) {
     options.num_threads = 0;
@@ -587,8 +479,7 @@ class ShardedExplorerTest : public ExplorerTest {
       EXPECT_EQ(sharded.complete, classic.complete);
       EXPECT_EQ(sharded.steps_taken, classic.steps_taken);
       // The shared interner makes even the visit accounting identical to
-      // classic (under the legacy top-level sharding, states shared
-      // between sibling subtrees were re-interned per shard).
+      // classic.
       EXPECT_EQ(sharded.states_visited, classic.states_visited);
       EXPECT_EQ(sharded.stats.states_interned, classic.stats.states_interned);
       EXPECT_EQ(sharded.stats.interner_hits, classic.stats.interner_hits);
@@ -660,8 +551,7 @@ TEST_F(ShardedExplorerTest, DepthLimitVerdictMatches) {
     options.num_threads = threads;
     ExplorationResult sharded =
         Explore({"insert into a values (0)"}, options);
-    // Depth semantics match classic exactly: a shard gets max_depth - 1 to
-    // compensate for the root frame it did not push.
+    // Depth semantics match classic exactly at every worker count.
     EXPECT_FALSE(sharded.complete) << "num_threads=" << threads;
     EXPECT_TRUE(sharded.may_not_terminate) << "num_threads=" << threads;
   }
@@ -679,7 +569,7 @@ TEST_F(ShardedExplorerTest, StreamCapKeepsLexicographicallyFirst) {
     ASSERT_EQ(r.observable_streams.size(), 1u) << "num_threads=" << threads;
     EXPECT_FALSE(r.complete) << "num_threads=" << threads;
     // The kept stream is the lexicographically-first of the union,
-    // regardless of which shard produced it or in which order.
+    // regardless of which worker produced it or in which order.
     EXPECT_NE(r.observable_streams.begin()->find("1"), std::string::npos);
   }
 }
@@ -697,10 +587,10 @@ TEST_F(ShardedExplorerTest, RecordGraphFallsBackToClassic) {
   EXPECT_EQ(r.final_states.size(), 1u);
 }
 
-// Sharded edge: rules exist in the catalog but the initial transition
-// triggers none of them, so the root is final and there are ZERO shards to
-// distribute. The sharded path must degrade to the single root-final
-// answer, matching classic for every pool size.
+// Parallel edge: rules exist in the catalog but the initial transition
+// triggers none of them, so the root is final and there is nothing to
+// distribute. Every pool size must degrade to the single root-final
+// answer, matching classic.
 TEST_F(ShardedExplorerTest, RulesPresentButNoneTriggered) {
   Load("create table a (x int); create table b (x int);",
        "create rule onb on b when inserted then delete from b; "
@@ -726,12 +616,12 @@ TEST_F(ShardedExplorerTest, QuiescenceAtStepBudgetMatchesClassic) {
 }
 
 // Satellite regression (budget division): the classic `max_total_steps`
-// budget is DIVIDED across shards, not handed out per shard — before the
-// fix, num_threads=8 silently got up to 8x the classic exploration budget
-// and could report complete where the classic walk tripped. Three
+// budget is shared by all workers, not handed out per worker — a per-shard
+// budget once let num_threads=8 get up to 8x the classic exploration
+// budget and report complete where the classic walk tripped. Three
 // non-commuting rules give a 15-step full tree; a budget of 8 trips the
-// classic walk, so every sharded pool size must trip too, with identical
-// results at 1 vs 8 threads.
+// classic walk, so every pool size must trip too, with identical results
+// at 1 vs 8 threads.
 TEST_F(ShardedExplorerTest, StepBudgetIsDividedAcrossShards) {
   Load("create table a (x int);",
        "create rule w1 on a when inserted then update a set x = 1; "
@@ -748,7 +638,7 @@ TEST_F(ShardedExplorerTest, StepBudgetIsDividedAcrossShards) {
   options.num_threads = 8;
   ExplorationResult eight = Explore({"insert into a values (0)"}, options);
   // The regression: with a per-shard budget, 3 shards x 8 steps >= 15
-  // total and both sharded runs would (wrongly) come back complete.
+  // total and both parallel runs would (wrongly) come back complete.
   EXPECT_FALSE(one.complete);
   EXPECT_FALSE(eight.complete);
   // 1-vs-8-thread equivalence holds even on the truncated enumeration.
@@ -757,16 +647,16 @@ TEST_F(ShardedExplorerTest, StepBudgetIsDividedAcrossShards) {
   EXPECT_EQ(one.may_not_terminate, eight.may_not_terminate);
   EXPECT_EQ(one.steps_taken, eight.steps_taken);
 
-  // With the full 15-step budget everything completes and the sharded
-  // division leaves the classic equivalence intact.
+  // With the full 15-step budget everything completes and the shared
+  // budget leaves the classic equivalence intact.
   options.max_total_steps = 15;
   ExpectShardedMatchesClassic({"insert into a values (0)"}, options);
 }
 
-// Satellite regression (stream-cap merge boundary): a sharded union of
+// Satellite regression (stream-cap merge boundary): a merged union of
 // EXACTLY max_streams fully enumerated streams is complete — only the
 // cap-plus-one union truncates. Pins the `>` (not `>=`) comparison in the
-// sharded merge.
+// work-stealing merge.
 TEST_F(ShardedExplorerTest, StreamCapExactlyAtCapStaysComplete) {
   Load("create table a (x int);",
        "create rule s1 on a when inserted then select 1 from a; "
@@ -804,9 +694,7 @@ TEST_F(ShardedExplorerTest, MoreThreadsThanShards) {
 // rules with commutativity certified, so the reduction collapses the root
 // to a SINGLE eligible rule. There is nothing to parallelize; the engine
 // must degrade to the classic walk's exact answer — including the pruned
-// count and visit accounting — for every pool size, and the dedup path
-// (which still runs the legacy top-level sharding) must short-circuit to
-// the classic engine rather than spin up a one-shard pool.
+// count and visit accounting — for every pool size, in dedup mode too.
 TEST_F(ShardedExplorerTest, PorSingleEligibleRootDegradesToClassic) {
   Load("create table a (x int); create table b (x int); "
        "create table c (x int);",
@@ -820,8 +708,8 @@ TEST_F(ShardedExplorerTest, PorSingleEligibleRootDegradesToClassic) {
   EXPECT_GT(classic.stats.por_pruned_orders, 0);
   ExpectShardedMatchesClassic({"insert into a values (1)"}, options);
 
-  // Same degenerate root under dedup mode (legacy sharded walk): one
-  // eligible rule means zero shards to distribute, handled classically.
+  // Same degenerate root under dedup mode, which runs the classic walk at
+  // every pool size.
   options.dedup_subtrees = true;
   options.num_threads = 0;
   ExplorationResult dedup_classic =
@@ -871,6 +759,67 @@ TEST_F(ShardedExplorerTest, GlobalBudgetHasNoPerShardPessimism) {
     ExplorationResult r = Explore({"insert into a values (0)"}, options);
     EXPECT_TRUE(r.complete) << "num_threads=" << threads;
     EXPECT_EQ(r.steps_taken, total_steps) << "num_threads=" << threads;
+  }
+}
+
+// Satellite regression (dedup x threads): dedup_subtrees runs the classic
+// walk at every num_threads, so every result field and every counter but
+// wall time is identical at 0/1/2/8 threads — at the default budget and
+// when the budget trips.
+TEST_F(ShardedExplorerTest, DedupResultsIdenticalAcrossThreadCounts) {
+  Load("create table a (x int); create table b (x int);", kReconvergentRules);
+  auto expect_identical = [](const ExplorationResult& r,
+                             const ExplorationResult& c) {
+    EXPECT_EQ(r.complete, c.complete);
+    EXPECT_EQ(r.may_not_terminate, c.may_not_terminate);
+    EXPECT_EQ(r.final_states, c.final_states);
+    ASSERT_EQ(r.final_databases.size(), c.final_databases.size());
+    for (const auto& [key, db] : r.final_databases) {
+      auto it = c.final_databases.find(key);
+      ASSERT_NE(it, c.final_databases.end());
+      EXPECT_EQ(db.CanonicalString(), it->second.CanonicalString());
+    }
+    EXPECT_EQ(r.observable_streams, c.observable_streams);
+    EXPECT_EQ(r.streams_evaluated, c.streams_evaluated);
+    EXPECT_EQ(r.states_visited, c.states_visited);
+    EXPECT_EQ(r.steps_taken, c.steps_taken);
+    ASSERT_EQ(r.graph_edges.size(), c.graph_edges.size());
+    for (size_t i = 0; i < r.graph_edges.size(); ++i) {
+      EXPECT_EQ(r.graph_edges[i].from, c.graph_edges[i].from);
+      EXPECT_EQ(r.graph_edges[i].to, c.graph_edges[i].to);
+      EXPECT_EQ(r.graph_edges[i].rule, c.graph_edges[i].rule);
+    }
+    EXPECT_EQ(r.node_is_final, c.node_is_final);
+    EXPECT_EQ(r.graph_truncated, c.graph_truncated);
+    const ExplorationStats& rs = r.stats;
+    const ExplorationStats& cs = c.stats;
+    EXPECT_EQ(rs.states_interned, cs.states_interned);
+    EXPECT_EQ(rs.dedup_hits, cs.dedup_hits);
+    EXPECT_EQ(rs.interner_hits, cs.interner_hits);
+    EXPECT_EQ(rs.peak_stack_depth, cs.peak_stack_depth);
+    EXPECT_EQ(rs.canonicalization_bytes, cs.canonicalization_bytes);
+    EXPECT_EQ(rs.delta_reverts, cs.delta_reverts);
+    EXPECT_EQ(rs.por_pruned_orders, cs.por_pruned_orders);
+    EXPECT_EQ(rs.steals, cs.steals);
+    EXPECT_EQ(rs.helper_threads, cs.helper_threads);
+    EXPECT_EQ(rs.shared_interner_hits, cs.shared_interner_hits);
+    EXPECT_EQ(rs.parallel_fallbacks, cs.parallel_fallbacks);
+  };
+  ExplorerOptions options;
+  options.por = ExplorerOptions::PorMode::kOff;
+  options.dedup_subtrees = true;
+  for (long budget : {ExplorerOptions{}.max_total_steps, 20L}) {
+    options.max_total_steps = budget;
+    options.num_threads = 0;
+    ExplorationResult classic = Explore({"insert into a values (1)"}, options);
+    EXPECT_GT(classic.stats.dedup_hits, 0) << "budget=" << budget;
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget) +
+                   " num_threads=" + std::to_string(threads));
+      options.num_threads = threads;
+      expect_identical(Explore({"insert into a values (1)"}, options),
+                       classic);
+    }
   }
 }
 

@@ -202,18 +202,18 @@ Workload MakeUnorderedWorkload(int k) {
   return w;
 }
 
-/// The tentpole's determinism contract: the counter section of a snapshot
-/// taken after the k=5 exploration workload is byte-identical for 1, 2,
-/// and 8 explorer threads (latency histograms and wall-time gauges are
-/// outside the contract and excluded by CountersToJson).
+/// The explorer's determinism contract: the counter section of a snapshot
+/// taken after the k=5 exploration workload is byte-identical for 0, 1, 2,
+/// and 8 explorer threads, in the default mode and with dedup_subtrees (POR
+/// off) — latency histograms and wall-time gauges are outside the contract
+/// and excluded by CountersToJson.
 TEST(MetricsTest, ExplorerCountersByteIdenticalAcrossThreadCounts) {
   Workload w = MakeUnorderedWorkload(5);
-  auto counters_for = [&](int threads) {
+  auto counters_for = [&](ExplorerOptions options, int threads) {
     Reset();
     {
       ScopedCollect collect;
       Database db(w.schema.get());
-      ExplorerOptions options;
       options.num_threads = threads;
       auto result = Explorer::ExploreAfterStatements(
           *w.catalog, db, {"insert into src values (1)"}, options);
@@ -221,10 +221,18 @@ TEST(MetricsTest, ExplorerCountersByteIdenticalAcrossThreadCounts) {
     }
     return CountersToJson(Collect());
   };
-  std::string one = counters_for(1);
-  EXPECT_NE(one.find("explorer.states_visited"), std::string::npos);
-  EXPECT_EQ(counters_for(2), one);
-  EXPECT_EQ(counters_for(8), one);
+  ExplorerOptions dedup;
+  dedup.dedup_subtrees = true;
+  dedup.por = ExplorerOptions::PorMode::kOff;
+  for (const ExplorerOptions& options : {ExplorerOptions{}, dedup}) {
+    SCOPED_TRACE(options.dedup_subtrees ? "dedup_subtrees" : "default");
+    std::string classic = counters_for(options, 0);
+    EXPECT_NE(classic.find("explorer.states_visited"), std::string::npos);
+    for (int threads : {1, 2, 8}) {
+      EXPECT_EQ(counters_for(options, threads), classic)
+          << "num_threads=" << threads;
+    }
+  }
 }
 
 /// Same contract through ExplorerOptions::collect_metrics (no explicit

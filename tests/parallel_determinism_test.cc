@@ -11,6 +11,8 @@
 #include "common/thread_pool.h"
 #include "rulelang/parser.h"
 #include "rules/explorer.h"
+#include "rules/processor.h"
+#include "testing/reference_explorer.h"
 #include "workload/random_gen.h"
 
 namespace starburst {
@@ -178,17 +180,19 @@ TEST_F(ParallelDeterminismTest, ExplorerFinalStatesIdenticalAcrossThreadCounts) 
   }
 }
 
-// Backend x thread-count sweep: the undo-log state backend must agree with
-// the snapshot-copy backend on every result the explorer is contracted to
-// keep deterministic, in classic mode and at every parallel pool size.
+// Reference x thread-count sweep: the undo-log explorer must agree with the
+// reference walk (testing/reference_explorer.h) on every result the
+// explorer is contracted to keep deterministic, in classic mode and at
+// every parallel pool size. The reference enumerates every order, so POR
+// is pinned off.
 TEST_F(ParallelDeterminismTest, ExplorerBackendsIdenticalAcrossThreadCounts) {
   constexpr uint64_t kNumSeeds = 20;
   ExplorerOptions base;
   base.max_depth = 24;
   base.max_total_steps = 20000;
+  base.por = ExplorerOptions::PorMode::kOff;
 
-  auto explore_seed = [&](uint64_t seed, ExplorerOptions::StateBackend backend,
-                          int num_threads) {
+  auto explore_seed = [&](uint64_t seed, int num_threads, bool reference) {
     RandomRuleSetParams params = ParamsForSeed(seed);
     params.num_rules = 4 + static_cast<int>(seed % 3);
     params.observable_fraction = 0.5;
@@ -198,11 +202,16 @@ TEST_F(ParallelDeterminismTest, ExplorerBackendsIdenticalAcrossThreadCounts) {
     if (!catalog.ok()) return outcome;
     Database db(gen.schema.get());
     if (!PopulateRandomDatabase(&db, 2, seed).ok()) return outcome;
+    auto initial =
+        ApplyUserStatements(&db, {"insert into t0 values (1, 2, 3)"});
+    if (!initial.ok()) return outcome;
     ExplorerOptions options = base;
-    options.backend = backend;
     options.num_threads = num_threads;
-    auto r = Explorer::ExploreAfterStatements(
-        catalog.value(), db, {"insert into t0 values (1, 2, 3)"}, options);
+    auto r = reference
+                 ? fuzzing::ReferenceExplore(catalog.value(), db,
+                                             initial.value(), options)
+                 : Explorer::Explore(catalog.value(), db, initial.value(),
+                                     options);
     if (!r.ok()) return outcome;
     outcome.ok = true;
     outcome.complete = r.value().complete;
@@ -212,19 +221,15 @@ TEST_F(ParallelDeterminismTest, ExplorerBackendsIdenticalAcrossThreadCounts) {
     return outcome;
   };
 
-  constexpr auto kCopy = ExplorerOptions::StateBackend::kSnapshotCopy;
-  constexpr auto kUndo = ExplorerOptions::StateBackend::kUndoLog;
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
-    ExplorerOutcome reference = explore_seed(seed, kCopy, 0);
+    ExplorerOutcome reference = explore_seed(seed, 0, /*reference=*/true);
     ASSERT_TRUE(reference.ok) << "seed=" << seed;
-    EXPECT_EQ(explore_seed(seed, kUndo, 0), reference) << "seed=" << seed;
-    // Every backend x pool-size combination agrees with the classic
-    // snapshot walk outright — the abort-and-rerun fallback covers the
-    // truncated runs, so completeness no longer gates the comparison.
+    EXPECT_EQ(explore_seed(seed, 0, false), reference) << "seed=" << seed;
+    // Every pool size agrees with the reference walk outright — the
+    // abort-and-rerun fallback covers the truncated runs, so completeness
+    // does not gate the comparison.
     for (int threads : {1, 2, 8}) {
-      EXPECT_EQ(explore_seed(seed, kUndo, threads), reference)
-          << "seed=" << seed << " threads=" << threads;
-      EXPECT_EQ(explore_seed(seed, kCopy, threads), reference)
+      EXPECT_EQ(explore_seed(seed, threads, false), reference)
           << "seed=" << seed << " threads=" << threads;
     }
   }
@@ -234,16 +239,14 @@ TEST_F(ParallelDeterminismTest, ExplorerBackendsIdenticalAcrossThreadCounts) {
 // once a walk claims 64 steps, and most random catalogs finish well before
 // that — so the randomized oracles above rarely run two workers at once.
 // This sweep keeps random catalogs whose classic walk takes at least 256
-// steps and explores each at 2/4/8 threads x both backends x POR off/on,
-// comparing every result and determinism-contract counter bit-for-bit with
-// the classic walk of the same backend and POR mode.
+// steps and explores each at 2/4/8 threads x POR off/on, comparing every
+// result and determinism-contract counter bit-for-bit with the classic
+// walk of the same POR mode.
 TEST_F(ParallelDeterminismTest, LargeRandomTreesMatchClassicAcrossWorkers) {
   constexpr long kMinSteps = 256;
   constexpr long kMaxSteps = 512;  // the budget; keeps the sweep short under TSan
-  constexpr int kCases = 2;
+  constexpr int kCases = 4;
   constexpr uint64_t kMaxSeeds = 200;
-  constexpr auto kCopy = ExplorerOptions::StateBackend::kSnapshotCopy;
-  constexpr auto kUndo = ExplorerOptions::StateBackend::kUndoLog;
   constexpr auto kPorOff = ExplorerOptions::PorMode::kOff;
   constexpr auto kPorOn = ExplorerOptions::PorMode::kCommute;
 
@@ -265,12 +268,10 @@ TEST_F(ParallelDeterminismTest, LargeRandomTreesMatchClassicAcrossWorkers) {
     if (!catalog.ok()) continue;
     Database db(gen.schema.get());
     ASSERT_TRUE(PopulateRandomDatabase(&db, 1, seed).ok());
-    auto explore = [&](ExplorerOptions::StateBackend backend,
-                       ExplorerOptions::PorMode por, int num_threads) {
+    auto explore = [&](ExplorerOptions::PorMode por, int num_threads) {
       ExplorerOptions options;
       options.max_depth = 32;
       options.max_total_steps = kMaxSteps;
-      options.backend = backend;
       options.por = por;
       options.num_threads = num_threads;
       return Explorer::ExploreAfterStatements(
@@ -278,55 +279,50 @@ TEST_F(ParallelDeterminismTest, LargeRandomTreesMatchClassicAcrossWorkers) {
           {"insert into t0 values (1, 2)", "insert into t1 values (3, 1)"},
           options);
     };
-    auto probe = explore(kUndo, kPorOff, 0);
+    auto probe = explore(kPorOff, 0);
     if (!probe.ok() || !probe.value().complete ||
         probe.value().steps_taken < kMinSteps) {
       continue;
     }
     ++cases;
-    for (auto backend : {kUndo, kCopy}) {
-      for (auto por : {kPorOff, kPorOn}) {
-        // The probe already is the undo-log, POR-off classic walk.
-        auto classic = backend == kUndo && por == kPorOff
-                           ? probe
-                           : explore(backend, por, 0);
-        ASSERT_TRUE(classic.ok()) << classic.status().ToString();
-        const ExplorationResult& c = classic.value();
-        for (int threads : {2, 4, 8}) {
-          SCOPED_TRACE("seed=" + std::to_string(seed) + " backend=" +
-                       std::to_string(backend == kUndo) + " por=" +
-                       std::to_string(por == kPorOn) +
-                       " threads=" + std::to_string(threads));
-          auto parallel = explore(backend, por, threads);
-          ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-          const ExplorationResult& p = parallel.value();
-          EXPECT_EQ(p.final_states, c.final_states);
-          EXPECT_EQ(p.observable_streams, c.observable_streams);
-          EXPECT_EQ(p.complete, c.complete);
-          EXPECT_EQ(p.may_not_terminate, c.may_not_terminate);
-          EXPECT_EQ(p.steps_taken, c.steps_taken);
-          EXPECT_EQ(p.states_visited, c.states_visited);
-          EXPECT_EQ(p.stats.states_interned, c.stats.states_interned);
-          EXPECT_EQ(p.stats.interner_hits, c.stats.interner_hits);
-          EXPECT_EQ(p.stats.delta_reverts, c.stats.delta_reverts);
-          EXPECT_EQ(p.stats.canonicalization_bytes,
-                    c.stats.canonicalization_bytes);
-          EXPECT_EQ(p.stats.por_pruned_orders, c.stats.por_pruned_orders);
-          EXPECT_EQ(p.stats.peak_stack_depth, c.stats.peak_stack_depth);
-          EXPECT_EQ(p.stats.parallel_fallbacks, 0);
-          // Helpers start exactly when the walk reaches 64 steps; a
-          // POR-reduced tree may stay under that.
-          EXPECT_EQ(p.stats.helper_threads,
-                    c.steps_taken >= 64 ? threads - 1 : 0);
-          if (p.stats.helper_threads > 0) ++helper_runs;
-        }
+    for (auto por : {kPorOff, kPorOn}) {
+      // The probe already is the POR-off classic walk.
+      auto classic = por == kPorOff ? probe : explore(por, 0);
+      ASSERT_TRUE(classic.ok()) << classic.status().ToString();
+      const ExplorationResult& c = classic.value();
+      for (int threads : {2, 4, 8}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " por=" +
+                     std::to_string(por == kPorOn) +
+                     " threads=" + std::to_string(threads));
+        auto parallel = explore(por, threads);
+        ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+        const ExplorationResult& p = parallel.value();
+        EXPECT_EQ(p.final_states, c.final_states);
+        EXPECT_EQ(p.observable_streams, c.observable_streams);
+        EXPECT_EQ(p.complete, c.complete);
+        EXPECT_EQ(p.may_not_terminate, c.may_not_terminate);
+        EXPECT_EQ(p.steps_taken, c.steps_taken);
+        EXPECT_EQ(p.states_visited, c.states_visited);
+        EXPECT_EQ(p.stats.states_interned, c.stats.states_interned);
+        EXPECT_EQ(p.stats.interner_hits, c.stats.interner_hits);
+        EXPECT_EQ(p.stats.delta_reverts, c.stats.delta_reverts);
+        EXPECT_EQ(p.stats.canonicalization_bytes,
+                  c.stats.canonicalization_bytes);
+        EXPECT_EQ(p.stats.por_pruned_orders, c.stats.por_pruned_orders);
+        EXPECT_EQ(p.stats.peak_stack_depth, c.stats.peak_stack_depth);
+        EXPECT_EQ(p.stats.parallel_fallbacks, 0);
+        // Helpers start exactly when the walk reaches 64 steps; a
+        // POR-reduced tree may stay under that.
+        EXPECT_EQ(p.stats.helper_threads,
+                  c.steps_taken >= 64 ? threads - 1 : 0);
+        if (p.stats.helper_threads > 0) ++helper_runs;
       }
     }
   }
   EXPECT_EQ(cases, kCases) << "too few seeds produced a tree of "
                            << kMinSteps << ".." << kMaxSteps << " steps";
-  // POR off alone gives 2 backends x 3 thread counts per case.
-  EXPECT_GE(helper_runs, 6L * kCases);
+  // POR off alone gives 3 thread counts per case.
+  EXPECT_GE(helper_runs, 3L * kCases);
 }
 
 }  // namespace

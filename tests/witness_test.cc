@@ -2,7 +2,7 @@
 // first-divergence-point reconstruction, responsible-pair selection,
 // replay tamper detection, and — crucially — witness *stability*: the
 // same scenario must yield a bit-identical witness JSON regardless of
-// explorer backend, thread count, or POR mode, because reconstruction
+// explorer thread count or POR mode, because reconstruction
 // re-walks the execution graph deterministically instead of trusting
 // whichever path the explorer happened to take.
 
@@ -166,22 +166,18 @@ TEST_F(WitnessTest, WitnessIsStableAcrossBackendsThreadsAndPor) {
        "create rule w1 on b when inserted then update b set x = 1; "
        "create rule w2 on b when inserted then update b set x = 2;");
   std::set<std::string> renderings;
-  for (auto backend : {ExplorerOptions::StateBackend::kUndoLog,
-                       ExplorerOptions::StateBackend::kSnapshotCopy}) {
-    for (int threads : {0, 1, 2, 8}) {
-      for (auto por : {ExplorerOptions::PorMode::kOff,
-                       ExplorerOptions::PorMode::kCommute}) {
-        ExplorerOptions options;
-        options.backend = backend;
-        options.num_threads = threads;
-        options.por = por;
-        WitnessExtraction e = Extract({"insert into a values (0)"}, options);
-        ASSERT_EQ(e.status, WitnessStatus::kFound) << e.note;
-        renderings.insert(WitnessExtractionToJson(e, *catalog_));
-      }
+  for (int threads : {0, 1, 2, 8}) {
+    for (auto por : {ExplorerOptions::PorMode::kOff,
+                     ExplorerOptions::PorMode::kCommute}) {
+      ExplorerOptions options;
+      options.num_threads = threads;
+      options.por = por;
+      WitnessExtraction e = Extract({"insert into a values (0)"}, options);
+      ASSERT_EQ(e.status, WitnessStatus::kFound) << e.note;
+      renderings.insert(WitnessExtractionToJson(e, *catalog_));
     }
   }
-  // Bit-identical witness JSON across all 16 configurations.
+  // Bit-identical witness JSON across all 8 configurations.
   EXPECT_EQ(renderings.size(), 1u) << *renderings.begin();
 }
 

@@ -304,15 +304,6 @@ class WorkStealingExplorerTest : public ::testing::Test {
               classic.stats.peak_stack_depth);
   }
 
-  static constexpr ExplorerOptions::StateBackend kBackends[] = {
-      ExplorerOptions::StateBackend::kUndoLog,
-      ExplorerOptions::StateBackend::kSnapshotCopy};
-
-  static std::string BackendName(ExplorerOptions::StateBackend backend) {
-    return backend == ExplorerOptions::StateBackend::kUndoLog ? "undo"
-                                                              : "copy";
-  }
-
   Schema schema_;
   std::unique_ptr<RuleCatalog> catalog_;
   std::unique_ptr<Database> db_;
@@ -320,26 +311,22 @@ class WorkStealingExplorerTest : public ::testing::Test {
 
 TEST_F(WorkStealingExplorerTest, RepeatedRunsMatchClassicBitForBit) {
   Load("create table a (x int);", kFiveWayRules);
-  for (auto backend : kBackends) {
-    ExplorerOptions options;
-    options.backend = backend;
-    options.por = ExplorerOptions::PorMode::kOff;
-    options.num_threads = 0;
-    ExplorationResult classic = Explore(options);
-    ASSERT_TRUE(classic.complete);
-    ASSERT_EQ(classic.steps_taken, 325);
-    for (int iteration = 0; iteration < 5; ++iteration) {
-      options.num_threads = 4;
-      ExplorationResult stealing = Explore(options);
-      SCOPED_TRACE("backend=" + BackendName(backend) +
-                   " iteration=" + std::to_string(iteration));
-      ExpectMatchesClassic(stealing, classic);
-      // The run fit the default budget, so the parallel attempt itself
-      // must have produced the answer (no classic rerun).
-      EXPECT_EQ(stealing.stats.parallel_fallbacks, 0);
-      // 325 steps pass the 64-step threshold: all three helpers start.
-      EXPECT_EQ(stealing.stats.helper_threads, 3);
-    }
+  ExplorerOptions options;
+  options.por = ExplorerOptions::PorMode::kOff;
+  options.num_threads = 0;
+  ExplorationResult classic = Explore(options);
+  ASSERT_TRUE(classic.complete);
+  ASSERT_EQ(classic.steps_taken, 325);
+  for (int iteration = 0; iteration < 5; ++iteration) {
+    options.num_threads = 4;
+    ExplorationResult stealing = Explore(options);
+    SCOPED_TRACE("iteration=" + std::to_string(iteration));
+    ExpectMatchesClassic(stealing, classic);
+    // The run fit the default budget, so the parallel attempt itself
+    // must have produced the answer (no classic rerun).
+    EXPECT_EQ(stealing.stats.parallel_fallbacks, 0);
+    // 325 steps pass the 64-step threshold: all three helpers start.
+    EXPECT_EQ(stealing.stats.helper_threads, 3);
   }
 }
 
@@ -351,26 +338,23 @@ TEST_F(WorkStealingExplorerTest, SmallTreeStartsNoHelpers) {
        "create rule w1 on a when inserted then update a set x = 1; "
        "create rule w2 on a when inserted then update a set x = 2; "
        "create rule w3 on a when inserted then select 9 from a;");
-  for (auto backend : kBackends) {
-    for (auto por : {ExplorerOptions::PorMode::kOff,
-                     ExplorerOptions::PorMode::kCommute}) {
-      SCOPED_TRACE("backend=" + BackendName(backend) + " por=" +
-                   std::to_string(por == ExplorerOptions::PorMode::kCommute));
-      ExplorerOptions options;
-      options.backend = backend;
-      options.por = por;
-      options.num_threads = 0;
-      ExplorationResult classic = Explore(options);
-      ASSERT_TRUE(classic.complete);
-      ASSERT_GT(classic.steps_taken, 1);
-      ASSERT_LT(classic.steps_taken, 64);
-      options.num_threads = 8;
-      ExplorationResult stealing = Explore(options);
-      ExpectMatchesClassic(stealing, classic);
-      EXPECT_EQ(stealing.stats.helper_threads, 0);
-      EXPECT_EQ(stealing.stats.steals, 0);
-      EXPECT_EQ(stealing.stats.parallel_fallbacks, 0);
-    }
+  for (auto por : {ExplorerOptions::PorMode::kOff,
+                   ExplorerOptions::PorMode::kCommute}) {
+    SCOPED_TRACE("por=" +
+                 std::to_string(por == ExplorerOptions::PorMode::kCommute));
+    ExplorerOptions options;
+    options.por = por;
+    options.num_threads = 0;
+    ExplorationResult classic = Explore(options);
+    ASSERT_TRUE(classic.complete);
+    ASSERT_GT(classic.steps_taken, 1);
+    ASSERT_LT(classic.steps_taken, 64);
+    options.num_threads = 8;
+    ExplorationResult stealing = Explore(options);
+    ExpectMatchesClassic(stealing, classic);
+    EXPECT_EQ(stealing.stats.helper_threads, 0);
+    EXPECT_EQ(stealing.stats.steals, 0);
+    EXPECT_EQ(stealing.stats.parallel_fallbacks, 0);
   }
 }
 
@@ -379,22 +363,18 @@ TEST_F(WorkStealingExplorerTest, SmallTreeStartsNoHelpers) {
 // back verbatim — with every helper joined before the rerun.
 TEST_F(WorkStealingExplorerTest, BudgetTripAfterHelpersStartFallsBack) {
   Load("create table a (x int);", kFiveWayRules);
-  for (auto backend : kBackends) {
-    SCOPED_TRACE("backend=" + BackendName(backend));
-    ExplorerOptions options;
-    options.backend = backend;
-    options.por = ExplorerOptions::PorMode::kOff;
-    options.max_total_steps = 100;  // past the threshold, short of 325
-    options.num_threads = 0;
-    ExplorationResult classic = Explore(options);
-    ASSERT_FALSE(classic.complete);
-    for (int iteration = 0; iteration < 3; ++iteration) {
-      options.num_threads = 4;
-      ExplorationResult stealing = Explore(options);
-      ExpectMatchesClassic(stealing, classic);
-      EXPECT_EQ(stealing.stats.parallel_fallbacks, 1);
-      EXPECT_EQ(stealing.stats.helper_threads, 3);
-    }
+  ExplorerOptions options;
+  options.por = ExplorerOptions::PorMode::kOff;
+  options.max_total_steps = 100;  // past the threshold, short of 325
+  options.num_threads = 0;
+  ExplorationResult classic = Explore(options);
+  ASSERT_FALSE(classic.complete);
+  for (int iteration = 0; iteration < 3; ++iteration) {
+    options.num_threads = 4;
+    ExplorationResult stealing = Explore(options);
+    ExpectMatchesClassic(stealing, classic);
+    EXPECT_EQ(stealing.stats.parallel_fallbacks, 1);
+    EXPECT_EQ(stealing.stats.helper_threads, 3);
   }
 }
 
@@ -425,22 +405,18 @@ TEST_F(WorkStealingExplorerTest, HelperThreadsFlushAsGaugeNotCounter) {
 // A budget under the threshold trips while worker 0 is still alone.
 TEST_F(WorkStealingExplorerTest, BudgetTripBeforeThresholdStartsNoHelpers) {
   Load("create table a (x int);", kFiveWayRules);
-  for (auto backend : kBackends) {
-    SCOPED_TRACE("backend=" + BackendName(backend));
-    ExplorerOptions options;
-    options.backend = backend;
-    options.por = ExplorerOptions::PorMode::kOff;
-    options.max_total_steps = 30;
-    options.num_threads = 0;
-    ExplorationResult classic = Explore(options);
-    ASSERT_FALSE(classic.complete);
-    options.num_threads = 4;
-    ExplorationResult stealing = Explore(options);
-    ExpectMatchesClassic(stealing, classic);
-    EXPECT_EQ(stealing.stats.parallel_fallbacks, 1);
-    EXPECT_EQ(stealing.stats.helper_threads, 0);
-    EXPECT_EQ(stealing.stats.steals, 0);
-  }
+  ExplorerOptions options;
+  options.por = ExplorerOptions::PorMode::kOff;
+  options.max_total_steps = 30;
+  options.num_threads = 0;
+  ExplorationResult classic = Explore(options);
+  ASSERT_FALSE(classic.complete);
+  options.num_threads = 4;
+  ExplorationResult stealing = Explore(options);
+  ExpectMatchesClassic(stealing, classic);
+  EXPECT_EQ(stealing.stats.parallel_fallbacks, 1);
+  EXPECT_EQ(stealing.stats.helper_threads, 0);
+  EXPECT_EQ(stealing.stats.steals, 0);
 }
 
 }  // namespace

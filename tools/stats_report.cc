@@ -4,8 +4,7 @@
 // registry snapshot as JSON and a Chrome trace-event file.
 //
 //   stats_report <workload> [--metrics-json PATH] [--trace PATH]
-//                [--threads N] [--snapshot-backend]
-//                [--rows N] [--data-seed N]
+//                [--threads N] [--rows N] [--data-seed N]
 //   stats_report --from-url URL [--metrics-json PATH]
 //
 // <workload> is a bundled application name (power_network, salary_control,
@@ -46,8 +45,6 @@ int Usage() {
                "to PATH (load in Perfetto)\n"
                "  --threads N           explorer worker threads (0 = classic "
                "single-threaded)\n"
-               "  --snapshot-backend    use the snapshot-copy state backend "
-               "instead of the undo log\n"
                "  --rows N              random base rows per table "
                "(.rules scripts only)\n"
                "  --data-seed N         seed for the random base data "
@@ -94,8 +91,7 @@ int main(int argc, char** argv) {
     if (size_t eq = flag.find('='); eq != std::string::npos) {
       value = flag.substr(eq + 1);
       flag = flag.substr(0, eq);
-    } else if (i + 1 < argc && flag.rfind("--", 0) == 0 &&
-               flag != "--snapshot-backend") {
+    } else if (i + 1 < argc && flag.rfind("--", 0) == 0) {
       value = argv[++i];
     }
     if (flag == "--metrics-json") {
@@ -109,8 +105,6 @@ int main(int argc, char** argv) {
       options.trace_path = value;
     } else if (flag == "--threads") {
       options.explorer_threads = std::atoi(value.c_str());
-    } else if (flag == "--snapshot-backend") {
-      options.snapshot_backend = true;
     } else if (flag == "--rows") {
       options.rows_per_table = std::atoi(value.c_str());
       if (options.rows_per_table < 0) return Usage();
