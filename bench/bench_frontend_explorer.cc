@@ -112,8 +112,8 @@ BENCHMARK(BM_ExplorerUnorderedRules)
 // whose conditions are false only reset their own pending marker when
 // considered, so every permutation of the same subset converges to the
 // same state (2^N distinct states under N! interleavings). With dedup on,
-// each shared subtree is expanded once and served from the per-state memo
-// afterwards; without it the full-stream explorer re-walks every
+// each shared state is expanded once and a revisit is skipped (a
+// dedup hit); without it the full-stream explorer re-walks every
 // interleaving for path-sensitive observable streams.
 void BM_ExplorerRevisitedSubtreesDedup(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -156,7 +156,7 @@ BENCHMARK(BM_ExplorerRevisitedSubtreesDedup)->DenseRange(2, 8)->Arg(10);
 // The same re-convergent workload under full path-sensitive enumeration,
 // for a same-workload baseline against the dedup run above. Capped at
 // n=6: the full walk revisits one path per ordered prefix (about n!·e of
-// them), which is exactly the blow-up the memo removes.
+// them), which is exactly the blow-up visit-once dedup removes.
 void BM_ExplorerRevisitedSubtreesFull(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Schema schema;

@@ -148,8 +148,6 @@ std::string ExplorationStatsToJson(const ExplorationStats& stats) {
   out += ",\"por_pruned_orders\":" + std::to_string(stats.por_pruned_orders);
   out += ",\"steals\":" + std::to_string(stats.steals);
   out += ",\"helper_threads\":" + std::to_string(stats.helper_threads);
-  out += ",\"shared_interner_hits\":" +
-         std::to_string(stats.shared_interner_hits);
   out += ",\"parallel_fallbacks\":" + std::to_string(stats.parallel_fallbacks);
   out += ",\"wall_seconds\":";
   out += wall;

@@ -1,8 +1,9 @@
 #include "analysis/witness.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "analysis/rule_index.h"
@@ -11,136 +12,6 @@
 namespace starburst {
 
 namespace {
-
-/// One terminating path found during reconstruction.
-struct FoundPath {
-  std::vector<RuleIndex> sequence;
-  std::string final_state;  // canonical database string
-  std::string stream;       // ObservableStreamToString rendering
-  bool rollback = false;
-};
-
-/// Deterministic bounded DFS over the execution graph, looking for the
-/// first path (in ascending-rule-index expansion order, i.e. the
-/// lexicographically smallest firing sequence) to each of two target
-/// outcomes. Snapshot-copy states keep the walk simple; the budgets bound
-/// the cost like the explorer's.
-class Reconstructor {
- public:
-  Reconstructor(const RuleCatalog& catalog, const Database& initial_db,
-                const Transition& initial_transition,
-                const WitnessOptions& options, DivergenceWitness::Kind kind,
-                const std::string& target_a, const std::string& target_b)
-      : catalog_(catalog),
-        initial_db_(initial_db),
-        initial_transition_(initial_transition),
-        options_(options),
-        kind_(kind),
-        target_a_(target_a),
-        target_b_(target_b),
-        initial_canonical_(initial_db.CanonicalString()) {}
-
-  /// Runs the DFS. On success path_a() / path_b() hold the two paths;
-  /// exhausted() reports whether a budget bound was hit before both were
-  /// found (targets may then legitimately be missing).
-  Status Run() {
-    RuleProcessingState state(&catalog_.schema(), catalog_.num_rules());
-    state.db = initial_db_;
-    for (Transition& t : state.pending) t = initial_transition_;
-    std::vector<RuleIndex> sequence;
-    std::vector<ObservableEvent> stream;
-    return Visit(state, &sequence, &stream, /*depth=*/0);
-  }
-
-  bool both_found() const {
-    return path_a_.has_value() && path_b_.has_value();
-  }
-  bool exhausted() const { return exhausted_; }
-  const FoundPath& path_a() const { return *path_a_; }
-  const FoundPath& path_b() const { return *path_b_; }
-
- private:
-  /// Records a terminating path against the targets. The DFS expands rules
-  /// in ascending index order, so the first hit per target is the
-  /// lexicographically smallest sequence reaching it.
-  void NoteTerminal(const std::vector<RuleIndex>& sequence,
-                    const std::string& final_state,
-                    std::vector<ObservableEvent>* stream, bool rollback) {
-    const std::string rendered = ObservableStreamToString(*stream);
-    const std::string& outcome =
-        kind_ == DivergenceWitness::Kind::kFinalState ? final_state : rendered;
-    if (!path_a_.has_value() && outcome == target_a_) {
-      path_a_ = FoundPath{sequence, final_state, rendered, rollback};
-    } else if (!path_b_.has_value() && outcome == target_b_) {
-      path_b_ = FoundPath{sequence, final_state, rendered, rollback};
-    }
-  }
-
-  Status Visit(const RuleProcessingState& state,
-               std::vector<RuleIndex>* sequence,
-               std::vector<ObservableEvent>* stream, int depth) {
-    if (both_found()) return Status::OK();
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, state);
-    if (triggered.empty()) {
-      NoteTerminal(*sequence, state.db.CanonicalString(), stream, false);
-      return Status::OK();
-    }
-    if (depth >= options_.max_depth) {
-      exhausted_ = true;
-      return Status::OK();
-    }
-    // CanonicalStateKey draws the explorer's state equivalence, so
-    // reconstruction cuts cycles at the same states the explorer does.
-    std::string key = CanonicalStateKey(state);
-    if (!on_path_.insert(key).second) return Status::OK();  // cycle: cut
-    std::vector<RuleIndex> eligible = EligibleRules(catalog_, triggered);
-    Status status = Status::OK();
-    for (RuleIndex r : eligible) {
-      if (both_found()) break;
-      if (++steps_ > options_.max_total_steps) {
-        exhausted_ = true;
-        break;
-      }
-      RuleProcessingState next = state;
-      Result<StepOutcome> outcome = ConsiderRule(catalog_, &next, r);
-      if (!outcome.ok()) {
-        status = outcome.status();
-        break;
-      }
-      sequence->push_back(r);
-      size_t stream_mark = stream->size();
-      stream->insert(stream->end(), outcome.value().observables.begin(),
-                     outcome.value().observables.end());
-      if (outcome.value().rollback) {
-        // ROLLBACK terminates the path at the initial database; the
-        // rollback event is already in the stream.
-        NoteTerminal(*sequence, initial_canonical_, stream, true);
-      } else {
-        status = Visit(next, sequence, stream, depth + 1);
-      }
-      stream->resize(stream_mark);
-      sequence->pop_back();
-      if (!status.ok()) break;
-    }
-    on_path_.erase(key);
-    return status;
-  }
-
-  const RuleCatalog& catalog_;
-  const Database& initial_db_;
-  const Transition& initial_transition_;
-  const WitnessOptions& options_;
-  const DivergenceWitness::Kind kind_;
-  const std::string target_a_;
-  const std::string target_b_;
-  const std::string initial_canonical_;
-
-  std::set<std::string> on_path_;
-  long steps_ = 0;
-  bool exhausted_ = false;
-  std::optional<FoundPath> path_a_;
-  std::optional<FoundPath> path_b_;
-};
 
 WitnessExtraction NotEvaluated(std::string note) {
   WitnessExtraction extraction;
@@ -299,11 +170,61 @@ Result<WitnessExtraction> ExtractWitness(const RuleCatalog& catalog,
     return extraction;
   }
 
-  Reconstructor reconstructor(catalog, initial_db, initial_transition,
-                              options, kind, target_a, target_b);
-  STARBURST_RETURN_IF_ERROR(reconstructor.Run());
-  if (!reconstructor.both_found()) {
-    if (reconstructor.exhausted()) {
+  // Re-walk at one worker with POR and dedup off and no stream cap: the
+  // core expands eligible rules in ascending index order, so the first
+  // terminal reaching each target has the lexicographically smallest
+  // firing sequence to it. A final-state target is matched by the
+  // fingerprint of its final database, a stream target by its string.
+  const bool by_state = kind == DivergenceWitness::Kind::kFinalState;
+  auto fingerprint_of = [&](const std::string& target) {
+    auto it = result.final_databases.find(target);
+    return by_state && it != result.final_databases.end()
+               ? std::optional<Hash128>(it->second.ContentFingerprint())
+               : std::nullopt;
+  };
+  const std::optional<Hash128> fp_a = fingerprint_of(target_a);
+  const std::optional<Hash128> fp_b = fingerprint_of(target_b);
+  DivergenceWitness w;
+  w.kind = kind;
+  bool found_a = false;
+  bool found_b = false;
+  bool exhausted = false;
+  auto visit = [&](const ExplorationTerminal& t) {
+    // A terminal counts only within the step budget.
+    if (t.steps_taken > options.max_total_steps) {
+      exhausted = true;
+      return false;
+    }
+    auto reaches = [&](const std::optional<Hash128>& fp,
+                       const std::string& target) {
+      return by_state ? fp == t.final_fingerprint : t.stream == target;
+    };
+    if (!found_a && reaches(fp_a, target_a)) {
+      found_a = true;
+      w.sequence_a = t.sequence;
+      w.final_a = t.final_db.CanonicalString();
+      w.stream_a = t.stream;
+      w.rollback_a = t.rollback;
+    } else if (!found_b && reaches(fp_b, target_b)) {
+      found_b = true;
+      w.sequence_b = t.sequence;
+      w.final_b = t.final_db.CanonicalString();
+      w.stream_b = t.stream;
+      w.rollback_b = t.rollback;
+    }
+    return !(found_a && found_b);
+  };
+  ExplorerOptions walk;
+  walk.max_depth = options.max_depth;
+  walk.max_total_steps = options.max_total_steps;
+  walk.max_streams = std::numeric_limits<int>::max();
+  walk.por = ExplorerOptions::PorMode::kOff;
+  STARBURST_ASSIGN_OR_RETURN(
+      ExplorationResult walked,
+      Explorer::VisitTerminals(catalog, initial_db, initial_transition, walk,
+                               visit));
+  if (!found_a || !found_b) {
+    if (exhausted || !walked.complete) {
       return NotEvaluated("witness reconstruction budget exhausted");
     }
     // The divergent outcomes were unreachable on re-walk: the exploration
@@ -313,16 +234,6 @@ Result<WitnessExtraction> ExtractWitness(const RuleCatalog& catalog,
         "mismatched exploration result)");
   }
 
-  DivergenceWitness w;
-  w.kind = kind;
-  w.sequence_a = reconstructor.path_a().sequence;
-  w.sequence_b = reconstructor.path_b().sequence;
-  w.final_a = reconstructor.path_a().final_state;
-  w.final_b = reconstructor.path_b().final_state;
-  w.stream_a = reconstructor.path_a().stream;
-  w.stream_b = reconstructor.path_b().stream;
-  w.rollback_a = reconstructor.path_a().rollback;
-  w.rollback_b = reconstructor.path_b().rollback;
   w.prefix_len = SharedPrefixLength(w.sequence_a, w.sequence_b);
   size_t p = static_cast<size_t>(w.prefix_len);
   w.diverge_a = p < w.sequence_a.size() ? w.sequence_a[p] : -1;

@@ -102,8 +102,8 @@ struct WitnessExtraction {
   std::string note;
 };
 
-/// Budgets for witness reconstruction (a fresh bounded DFS over the
-/// execution graph; the defaults match ExplorerOptions).
+/// Budgets for witness reconstruction, a one-worker rerun of the explorer
+/// core (the defaults match ExplorerOptions); max_total_steps bounds its cost.
 struct WitnessOptions {
   int max_depth = 64;
   long max_total_steps = 200000;
@@ -129,11 +129,12 @@ std::vector<TableId> SharedFootprintTables(const PrelimAnalysis& prelim,
 
 /// Reconstructs a minimal divergence witness for `result`, which must come
 /// from exploring (catalog, initial_db, initial_transition). Reconstruction
-/// re-walks the execution graph deterministically (eligible rules in
-/// ascending index order, no reduction), so the two sequences found are the
-/// lexicographically-first paths to the two lexicographically-smallest
-/// divergent outcomes — stable across explorer thread counts and POR
-/// modes.
+/// reruns the explorer core through Explorer::VisitTerminals at one worker
+/// with POR and dedup off and no stream cap, and keeps the first terminal
+/// reaching each of the two lexicographically-smallest divergent outcomes
+/// (by final-database fingerprint or stream string): the
+/// lexicographically-first paths to them, stable across explorer thread
+/// counts and POR modes. No state is copied per level (undo deltas).
 ///
 /// Status semantics:
 ///   - result has >= 2 final states          -> kFound (kind kFinalState)
@@ -141,9 +142,10 @@ std::vector<TableId> SharedFootprintTables(const PrelimAnalysis& prelim,
 ///   - else, streams not evaluated
 ///     (dedup_subtrees)                      -> kNotEvaluated
 ///   - else                                  -> kNone
-/// Reconstruction-budget exhaustion before both target outcomes are reached
-/// also yields kNotEvaluated. Bumps the explorer.witnesses_extracted metric
-/// counter on kFound.
+/// A terminal counts only while steps_taken <= max_total_steps; a budget
+/// or depth cut before both targets are reached yields kNotEvaluated. Bumps
+/// explorer.witnesses_extracted on kFound; the walk itself records the
+/// explorer.* metrics of one exploration.
 Result<WitnessExtraction> ExtractWitness(const RuleCatalog& catalog,
                                          const Database& initial_db,
                                          const Transition& initial_transition,

@@ -37,27 +37,6 @@ std::string ObservableStreamToString(const std::vector<ObservableEvent>& stream)
 
 namespace {
 
-/// Interns 128-bit state fingerprints to dense uint32 ids. No canonical
-/// strings are stored; distinct logical states are distinct up to 128-bit
-/// hash collisions (cross-checked against the string-keyed reference walk
-/// by the delta_equivalence fuzz oracle). Every per-state structure
-/// downstream (visited / on-path / graph-node / memo) is a flat vector
-/// indexed by the dense id.
-class FingerprintInterner {
- public:
-  /// Returns {dense id, true when freshly interned}.
-  std::pair<uint32_t, bool> Intern(const Hash128& key) {
-    auto [it, fresh] =
-        ids_.try_emplace(key, static_cast<uint32_t>(ids_.size()));
-    return {it->second, fresh};
-  }
-
-  size_t size() const { return ids_.size(); }
-
- private:
-  std::unordered_map<Hash128, uint32_t, Hash128Hasher> ids_;
-};
-
 /// Salt separating the pending-transition lane of a state fingerprint from
 /// the database lane, and the synthetic-rollback lane from both.
 constexpr uint64_t kPendingSalt = 0x70656e64696e67ull;
@@ -96,15 +75,6 @@ const std::vector<int64_t>& ContentionBounds() {
   static const std::vector<int64_t>* bounds = new std::vector<int64_t>{
       1, 10, 100, 1000, 10000, 100000};
   return *bounds;
-}
-
-bool TestBit(const std::vector<bool>& bits, uint32_t id) {
-  return id < bits.size() && bits[id];
-}
-
-void SetBit(std::vector<bool>* bits, uint32_t id, bool value) {
-  if (id >= bits->size()) bits->resize(id + 1, false);
-  (*bits)[id] = value;
 }
 
 /// Resolves ExplorerOptions::por. kDefault follows the STARBURST_POR
@@ -176,392 +146,37 @@ void ReduceEligible(const std::vector<bool>* por_safe,
   }
 }
 
-/// The classic single-threaded walk: an explicit-stack DFS over ONE live
-/// state, stepped forward with Database::BeginDelta and backtracked with
-/// RevertDelta, interning states by incremental fingerprint. Each step
-/// costs O(delta), not O(database).
-class ExplorerImpl {
- public:
-  /// `por_safe` is the precomputed POR safety bitvector (see PorSafeRules),
-  /// or nullptr when reduction is off.
-  ExplorerImpl(const RuleCatalog& catalog, const Database& initial_db,
-               const ExplorerOptions& options,
-               const std::vector<bool>* por_safe = nullptr)
-      : catalog_(catalog),
-        initial_db_(initial_db),
-        options_(options),
-        por_safe_(por_safe) {}
-
-  Result<ExplorationResult> Run(const Transition& initial_transition) {
-    auto start = std::chrono::steady_clock::now();
-    // The one database copy of the whole exploration: every branch below
-    // steps it forward and reverts it via the undo log.
-    cur_.emplace(&catalog_.schema(), catalog_.num_rules());
-    cur_->db = initial_db_;
-    for (Transition& t : cur_->pending) t = initial_transition;
-    cur_->pending_undo = &pending_undo_;
-    Enter(kNoParent, /*via=*/-1, /*restore_stream=*/0, /*delta_open=*/false);
-    return Drive(start);
-  }
-
- private:
-  Result<ExplorationResult> Drive(
-      std::chrono::steady_clock::time_point start) {
-    // Explicit-stack DFS: the top frame either expands its next eligible
-    // rule (which records a terminal child or pushes a new frame) or is
-    // popped. Depth is bounded by ExplorerOptions::max_depth, never by the
-    // C++ call stack.
-    while (!stack_.empty()) {
-      size_t top = stack_.size() - 1;
-      Frame& f = stack_[top];
-      if (f.next_child >= f.eligible.size()) {
-        PopFrame();
-        continue;
-      }
-      RuleIndex r = f.eligible[f.next_child++];
-      ++result_.steps_taken;
-      // The live state already sits at this frame: children revert their
-      // database deltas AND their pending mutations (via the pending undo
-      // log), so nothing is copied or restored per child.
-      pending_undo_.Mark();
-      cur_->db.BeginDelta();
-      auto step = ConsiderRule(catalog_, &*cur_, r);
-      if (!step.ok()) return step.status();
-      size_t mark = stream_.size();
-      if (!options_.dedup_subtrees) {
-        for (const ObservableEvent& ev : step.value().observables) {
-          stream_.push_back(ev);
-        }
-      }
-      if (step.value().rollback) {
-        // Transaction aborted: final database is the initial database.
-        cur_->db.RevertDelta();
-        pending_undo_.RevertToMark();
-        NoteRevert();
-        EnterRollback(top, r);
-        stream_.resize(mark);
-      } else {
-        Enter(top, r, mark, /*delta_open=*/true);  // may invalidate `f`
-      }
-    }
-    result_.states_visited = visited_count_;
-    result_.streams_evaluated = !options_.dedup_subtrees;
-    result_.stats.states_interned = static_cast<long>(interner_.size());
-    result_.stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return std::move(result_);
-  }
-
-  static constexpr size_t kNoParent = static_cast<size_t>(-1);
-  static constexpr int kNodeUnassigned = -2;
-
-  struct Frame {
-    /// True when this frame holds an open delta on `cur_->db` plus a
-    /// matching pending-undo mark (every frame except the root); PopFrame
-    /// reverts both. The frame stores no state of its own — `cur_` is
-    /// stepped forward and reverted in place.
-    bool owns_delta = false;
-    uint32_t id = 0;
-    int node = -1;
-    std::vector<RuleIndex> eligible;
-    size_t next_child = 0;
-    /// Stream length to restore when this frame is popped.
-    size_t restore_stream = 0;
-    /// Final-state ids reached from this subtree (dedup mode only).
-    std::vector<uint32_t> reached_finals;
-    /// True when the subtree's enumeration is provably incomplete (budget /
-    /// depth bail-out) or entangled with a state still on the path (cycle);
-    /// tainted subtrees are never memoized.
-    bool tainted = false;
-  };
-
-  void MarkVisited(uint32_t id) {
-    if (!TestBit(visited_, id)) {
-      SetBit(&visited_, id, true);
-      ++visited_count_;
-    }
-  }
-
-  /// Counts an undo-log revert and records the DFS depth it happened at.
-  /// The per-event histogram Record is the only per-step registry write in
-  /// the explorer (everything else flushes once at end of run), and it is
-  /// gated on metrics::Enabled() inside the macro.
-  void NoteRevert() {
-    ++result_.stats.delta_reverts;
-    STARBURST_METRIC_HISTOGRAM("explorer.revert_depth", RevertDepthBounds(),
-                               static_cast<int64_t>(stack_.size()));
-  }
-
-  /// Returns the recorded-graph node id for interned state `id`, or -1
-  /// when recording is off or the node cap was hit.
-  int GraphNode(uint32_t id) {
-    if (!options_.record_graph) return -1;
-    if (id >= graph_node_.size()) graph_node_.resize(id + 1, kNodeUnassigned);
-    int& slot = graph_node_[id];
-    if (slot == kNodeUnassigned) {
-      if (next_graph_node_ >= options_.max_recorded_nodes) {
-        result_.graph_truncated = true;
-        slot = -1;
-      } else {
-        slot = next_graph_node_++;
-        result_.node_is_final.push_back(false);
-      }
-    }
-    return slot;
-  }
-
-  void RecordEdge(int from, int to, RuleIndex rule) {
-    if (!options_.record_graph || from < 0 || to < 0) return;
-    result_.graph_edges.push_back({from, to, rule});
-  }
-
-  /// Records the current path's observable stream (full enumeration mode
-  /// only). A stream that is already in the set never marks the result
-  /// incomplete — only a NEW stream that would exceed max_streams does.
-  void RecordStream() {
-    if (options_.dedup_subtrees) return;
-    std::string s = ObservableStreamToString(stream_);
-    if (static_cast<int>(result_.observable_streams.size()) <
-        options_.max_streams) {
-      result_.observable_streams.insert(std::move(s));
-    } else if (result_.observable_streams.count(s) == 0) {
-      result_.complete = false;
-    }
-  }
-
-  /// Records a final database and the path's observable stream. Final
-  /// databases are deduplicated by content fingerprint, and the reported
-  /// canonical string is rendered only for FRESH fingerprints, so a
-  /// revisited final costs O(1), not O(database).
-  uint32_t RecordFinal(const Database& db) {
-    auto [it, fresh] = final_ids_.try_emplace(
-        db.ContentFingerprint(), static_cast<uint32_t>(final_ids_.size()));
-    if (fresh) {
-      std::string db_key = db.CanonicalString();
-      result_.stats.canonicalization_bytes +=
-          static_cast<long>(db_key.size());
-      result_.final_states.insert(db_key);
-      result_.final_databases.emplace(std::move(db_key), db);
-    }
-    RecordStream();
-    return it->second;
-  }
-
-  void AddFinal(size_t parent, uint32_t final_id) {
-    if (!options_.dedup_subtrees || parent == kNoParent) return;
-    stack_[parent].reached_finals.push_back(final_id);
-  }
-
-  void Taint(size_t parent) {
-    if (!options_.dedup_subtrees || parent == kNoParent) return;
-    stack_[parent].tainted = true;
-  }
-
-  /// In dedup mode, a final state's subtree is itself: memoize it so a
-  /// revisit skips recomputing TriggeredRules.
-  void MemoizeFinal(uint32_t id, uint32_t final_id) {
-    if (!options_.dedup_subtrees) return;
-    if (TestBit(memo_black_, id)) return;
-    SetBit(&memo_black_, id, true);
-    memo_finals_.emplace(id, std::vector<uint32_t>{final_id});
-  }
-
-  /// Evaluates the state currently held in `cur_` (the one live
-  /// database): interns it by fingerprint, records the incoming edge, and
-  /// either handles it terminally (cycle / memo hit / final / budget /
-  /// depth) or pushes a DFS frame for expansion. Every terminal outcome
-  /// must undo what the caller set up, which `leave()` centralizes: revert
-  /// this step's delta (when one is open) and roll the stream back to
-  /// `restore_stream`. Non-terminal states instead push a frame that OWNS
-  /// the open delta; PopFrame reverts it when the subtree is done.
-  void Enter(size_t parent, RuleIndex via, size_t restore_stream,
-             bool delta_open) {
-    Hash128 fp = StateFingerprint(*cur_);
-    auto [id, fresh] = interner_.Intern(fp);
-    if (!fresh) ++result_.stats.interner_hits;
-    int node = GraphNode(id);
-    if (parent != kNoParent) RecordEdge(stack_[parent].node, node, via);
-    auto leave = [&] {
-      if (delta_open) {
-        cur_->db.RevertDelta();
-        pending_undo_.RevertToMark();
-        NoteRevert();
-      }
-      stream_.resize(restore_stream);
-    };
-    if (!fresh && TestBit(on_path_, id)) {
-      // A cycle in the execution graph: an infinitely long path exists.
-      // The cycle target's subtree is still being enumerated, so every
-      // ancestor's reachable-final memo is incomplete.
-      result_.may_not_terminate = true;
-      Taint(parent);
-      leave();
-      return;
-    }
-    MarkVisited(id);
-    if (options_.dedup_subtrees && TestBit(memo_black_, id)) {
-      ++result_.stats.dedup_hits;
-      if (parent != kNoParent) {
-        auto it = memo_finals_.find(id);
-        if (it != memo_finals_.end()) {
-          Frame& pf = stack_[parent];
-          pf.reached_finals.insert(pf.reached_finals.end(),
-                                   it->second.begin(), it->second.end());
-        }
-      }
-      leave();
-      return;
-    }
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *cur_);
-    if (triggered.empty()) {
-      if (node >= 0) result_.node_is_final[node] = true;
-      uint32_t fid = RecordFinal(cur_->db);
-      AddFinal(parent, fid);
-      MemoizeFinal(id, fid);
-      leave();
-      return;
-    }
-    // The budget check comes AFTER the final-state check: a rule-free
-    // state reached exactly as the budget trips is still a real final
-    // state and must be recorded, not dropped.
-    if (result_.steps_taken >= options_.max_total_steps) {
-      result_.complete = false;
-      Taint(parent);
-      leave();
-      return;
-    }
-    if (static_cast<int>(stack_.size()) >= options_.max_depth) {
-      result_.complete = false;
-      result_.may_not_terminate = true;  // conservative
-      Taint(parent);
-      leave();
-      return;
-    }
-    SetBit(&on_path_, id, true);
-    Frame frame;
-    frame.owns_delta = delta_open;
-    frame.id = id;
-    frame.node = node;
-    frame.eligible = EligibleRules(catalog_, triggered);
-    ReduceEligible(por_safe_, &frame.eligible,
-                   &result_.stats.por_pruned_orders);
-    frame.restore_stream = restore_stream;
-    stack_.push_back(std::move(frame));
-    result_.stats.peak_stack_depth = std::max(
-        result_.stats.peak_stack_depth, static_cast<int>(stack_.size()));
-  }
-
-  /// Handles a ROLLBACK edge: the path terminates in a synthetic state
-  /// whose database is the initial database. The synthetic state is
-  /// interned and counted like any other, so states_visited, the recorded
-  /// graph, and the DOT output agree on node accounting.
-  void EnterRollback(size_t parent, RuleIndex via) {
-    if (!rollback_interned_) {
-      rollback_id_ =
-          interner_
-              .Intern(MixWithSalt(initial_db_.ContentFingerprint(),
-                                  kRollbackSalt))
-              .first;
-      rollback_interned_ = true;
-    }
-    MarkVisited(rollback_id_);
-    int node = GraphNode(rollback_id_);
-    if (node >= 0) result_.node_is_final[node] = true;
-    RecordEdge(stack_[parent].node, node, via);
-    uint32_t fid = RecordFinal(initial_db_);
-    AddFinal(parent, fid);
-    MemoizeFinal(rollback_id_, fid);
-  }
-
-  void PopFrame() {
-    Frame& f = stack_.back();
-    SetBit(&on_path_, f.id, false);
-    if (f.owns_delta) {
-      cur_->db.RevertDelta();
-      pending_undo_.RevertToMark();
-      NoteRevert();
-    }
-    if (options_.dedup_subtrees) {
-      if (!f.tainted) {
-        std::sort(f.reached_finals.begin(), f.reached_finals.end());
-        f.reached_finals.erase(
-            std::unique(f.reached_finals.begin(), f.reached_finals.end()),
-            f.reached_finals.end());
-        SetBit(&memo_black_, f.id, true);
-        memo_finals_[f.id] = f.reached_finals;
-      }
-      if (stack_.size() >= 2) {
-        Frame& pf = stack_[stack_.size() - 2];
-        pf.tainted |= f.tainted;
-        pf.reached_finals.insert(pf.reached_finals.end(),
-                                 f.reached_finals.begin(),
-                                 f.reached_finals.end());
-      }
-    }
-    stream_.resize(f.restore_stream);
-    stack_.pop_back();
-  }
-
-  const RuleCatalog& catalog_;
-  const Database& initial_db_;
-  const ExplorerOptions& options_;
-  /// POR safety bitvector (nullptr when reduction is off).
-  const std::vector<bool>* por_safe_;
-  ExplorationResult result_;
-
-  /// The one live state the whole DFS steps forward and reverts — the
-  /// database via its own delta log, the pending transitions via
-  /// `pending_undo_`.
-  std::optional<RuleProcessingState> cur_;
-  /// Inverse log for `cur_->pending` mutations; one mark per rule
-  /// consideration, reverted wherever the step's db delta is.
-  TransitionUndoLog pending_undo_;
-  FingerprintInterner interner_;
-  /// Final databases: content fingerprint -> dense final id.
-  std::unordered_map<Hash128, uint32_t, Hash128Hasher> final_ids_;
-  std::vector<Frame> stack_;
-  std::vector<ObservableEvent> stream_;
-  std::vector<bool> visited_;  // by interned id
-  std::vector<bool> on_path_;  // by interned id
-  long visited_count_ = 0;
-
-  // Recorded-graph node ids, by interned id (kNodeUnassigned / -1 capped).
-  std::vector<int> graph_node_;
-  int next_graph_node_ = 0;
-
-  // Dedup-subtrees memo: black = subtree fully enumerated; finals =
-  // final ids reachable from the state.
-  std::vector<bool> memo_black_;
-  std::unordered_map<uint32_t, std::vector<uint32_t>> memo_finals_;
-
-  // Synthetic rollback state (interned lazily on the first rollback path).
-  bool rollback_interned_ = false;
-  uint32_t rollback_id_ = 0;
-};
-
-/// ------------------- Work-stealing parallel exploration -------------------
+/// ------------------------- The exploration core -------------------------
 ///
-/// ExplorerOptions::num_threads >= 2 without dedup_subtrees / record_graph.
-/// Workers run the classic depth-first walk on their OWN database + undo
-/// log; every frame with two or more eligible rules is published as a
-/// StealTask in the owner's deque. An idle worker steals the shallowest
-/// task, replays its firing path from the root on its own state, and then
-/// claims untaken children through the task's shared atomic cursor — so one
-/// frame's children are partitioned between owner and thieves without any
-/// barrier. States are interned in ONE shared striped set keyed by 128-bit
-/// fingerprints, `max_total_steps` is a single atomic claimed per edge, and
-/// POR reduces the eligible set at every state.
+/// The one depth-first walk. Each worker steps its OWN live state (one
+/// database + undo log) forward with Database::BeginDelta and backtracks
+/// with RevertDelta, so a step costs O(delta), not O(database). States are
+/// interned in a striped set keyed by 128-bit fingerprints: one stripe at
+/// one worker, 64 at two or more.
 ///
-/// Determinism contract: the attempt either COMPLETES — in which case the
-/// enumerated tree is exactly the classic tree (full enumeration never
-/// prunes on the visited set; cycle cuts use the path-local on-path set the
-/// replay reconstructs; POR reduction is a pure function of the state) and
-/// every merged result field and counter equals the classic walk's — or it
-/// ABORTS (budget / depth / stream-cap trip, error) and the caller discards
-/// it and reruns the classic walk, whose truncation order is deterministic.
-/// Work is never lost: an owner drains its own cursors even when a task is
-/// stolen, so completion does not depend on any thief making progress.
+/// One worker is the serial walk (num_threads 0 or 1, record_graph,
+/// dedup_subtrees, terminal visitors, and every fallback rerun). It
+/// publishes nothing and truncates deterministically: the step budget is
+/// checked when a state is entered, after the final-state check; a depth
+/// cut marks the run incomplete and may-not-terminate; the stream cap
+/// keeps the first `max_streams` streams in DFS order; an error is
+/// returned.
+///
+/// Two or more workers: every frame with two or more eligible rules is
+/// published as a StealTask in the owner's deque. An idle worker steals
+/// the shallowest task, replays its firing path from the root on its own
+/// state, and then claims untaken children through the task's shared
+/// atomic cursor — so one frame's children are partitioned between owner
+/// and thieves without any barrier. `max_total_steps` is a single atomic
+/// claimed per edge. The attempt either COMPLETES — in which case the
+/// enumerated tree is exactly the one-worker tree (full enumeration never
+/// prunes on the visited set; cycle cuts use the path-local on-path set
+/// the replay reconstructs; POR reduction is a pure function of the state)
+/// and every merged result field and counter equals the one-worker walk's
+/// — or it ABORTS (budget / depth / stream-cap trip, error) and is rerun at
+/// one worker, whose truncation order is deterministic. Work is never
+/// lost: an owner drains its own cursors even when a task is stolen, so
+/// completion does not depend on any thief making progress.
 ///
 /// Adaptive start: worker 0 walks alone on the calling thread and starts
 /// the helpers only when the walk claims its kHelperStartSteps-th step, so
@@ -596,26 +211,30 @@ struct StealTask {
   std::atomic<uint32_t> next_child{0};
 };
 
-class WorkStealingExplorer {
+class ExplorerCore {
  public:
-  WorkStealingExplorer(const RuleCatalog& catalog, const Database& initial_db,
-                       const ExplorerOptions& options,
-                       const std::vector<bool>* por_safe)
+  /// `visitor`, when set, is handed every terminal; it needs one worker.
+  ExplorerCore(const RuleCatalog& catalog, const Database& initial_db,
+               const ExplorerOptions& options,
+               const std::vector<bool>* por_safe, size_t num_workers,
+               const TerminalVisitor* visitor = nullptr)
       : catalog_(catalog),
         initial_db_(initial_db),
         options_(options),
         por_safe_(por_safe),
-        num_workers_(static_cast<size_t>(options.num_threads)),
+        num_workers_(num_workers),
+        visitor_(visitor),
+        visited_(num_workers > 1 ? 64 : 1),
         deques_(num_workers_) {}
 
-  WorkStealingExplorer(const WorkStealingExplorer&) = delete;
-  WorkStealingExplorer& operator=(const WorkStealingExplorer&) = delete;
+  ExplorerCore(const ExplorerCore&) = delete;
+  ExplorerCore& operator=(const ExplorerCore&) = delete;
 
   /// Joins any helper still running when an exception escapes worker 0
   /// (allocation failure); Run() joins them on every normal path. Abort
   /// first: the helpers would otherwise wait for a worker 0 that never
   /// goes idle.
-  ~WorkStealingExplorer() {
+  ~ExplorerCore() {
     Abort();
     for (std::thread& t : helpers_) {
       if (t.joinable()) t.join();
@@ -633,18 +252,20 @@ class WorkStealingExplorer {
     RunWorker(0);  // starts the helpers once the walk is big enough
     for (std::thread& t : helpers_) t.join();
     if (helper_error_ != nullptr) std::rethrow_exception(helper_error_);
-    if (!aborted_.load(std::memory_order_acquire)) {
+    if (!Parallel() && !error_.ok()) return error_;
+    // One worker merges even when a visitor stopped it.
+    if (!Parallel() || !aborted_.load(std::memory_order_acquire)) {
       std::optional<ExplorationResult> merged = Merge(start);
       if (merged.has_value()) return std::move(*merged);
     }
     // Fallback: the attempt hit a limit (or an error) whose truncation
-    // order is schedule-dependent. Discard it and rerun the classic walk,
+    // order is schedule-dependent. Discard it and rerun at one worker,
     // whose result (including the incomplete flag, the kept streams, and
     // any error) is deterministic — so every thread count reports exactly
-    // the classic outcome. The rerun is bounded by the same budget that
+    // the one-worker outcome. The rerun is bounded by the same budget that
     // tripped, capping total work at roughly twice `max_total_steps`.
-    ExplorerImpl impl(catalog_, initial_db_, options_, por_safe_);
-    Result<ExplorationResult> result = impl.Run(initial_transition);
+    ExplorerCore rerun(catalog_, initial_db_, options_, por_safe_, 1);
+    Result<ExplorationResult> result = rerun.Run(initial_transition);
     if (result.ok()) {
       result.value().stats.parallel_fallbacks = 1;
       result.value().stats.steals = deques_.steals();
@@ -664,17 +285,20 @@ class WorkStealingExplorer {
   };
 
   struct Frame {
-    /// Shared stealable cursor (frames with >= 2 eligible rules); null for
-    /// the single-eligible fast path, which is never published.
+    /// Shared stealable cursor: frames with >= 2 eligible rules when two
+    /// or more workers run. Null otherwise; the frame is never published
+    /// and claims from `eligible` / `next_child` below.
     std::shared_ptr<StealTask> task;
-    RuleIndex only = -1;
-    bool only_taken = false;
+    std::vector<RuleIndex> eligible;
+    uint32_t next_child = 0;
     /// This frame's entry edge holds an open delta on the worker's live
     /// state (false for region roots — the exploration root or an adopted
     /// frame, whose replay deltas are unwound by ResetRegion).
     bool owns_delta = false;
     Hash128 fp;
     size_t restore_stream = 0;
+    /// Recorded-graph node (record_graph), else -1.
+    int node = -1;
   };
 
   /// Per-worker tallies and result fragments, merged after the join. Every
@@ -683,6 +307,7 @@ class WorkStealingExplorer {
   struct WorkerLocal {
     long steps = 0;
     long interner_hits = 0;
+    long dedup_hits = 0;
     long delta_reverts = 0;
     long por_pruned = 0;
     int peak_depth = 0;
@@ -700,8 +325,8 @@ class WorkStealingExplorer {
     std::vector<Frame> frames;
     std::vector<ReplayMark> replay;
     /// States below the bottom frame (replayed prefix length); the logical
-    /// DFS depth — what the classic walk's stack_.size() would be — is
-    /// base_depth + frames.size().
+    /// DFS depth — the frame count of the one-worker walk at this state —
+    /// is base_depth + frames.size().
     size_t base_depth = 0;
     std::vector<ObservableEvent> stream;
     std::unordered_set<Hash128, Hash128Hasher> on_path;
@@ -713,9 +338,18 @@ class WorkStealingExplorer {
     return ctx.base_depth + ctx.frames.size();
   }
 
+  bool Parallel() const { return num_workers_ > 1; }
+
   void Abort() { aborted_.store(true, std::memory_order_release); }
   bool Aborted() const {
     return aborted_.load(std::memory_order_relaxed);
+  }
+
+  /// Stops the walk on an error. One worker returns it; two or more abort
+  /// the attempt, and the one-worker rerun reproduces it.
+  void Fail(Status status) {
+    if (!Parallel()) error_ = std::move(status);
+    Abort();
   }
 
   void RunWorker(size_t w) {
@@ -723,7 +357,9 @@ class WorkStealingExplorer {
     ctx.w = w;
     ctx.local = &locals_[w];
     if (w == 0) {
-      EnterRoot(ctx);
+      ctx.cur.emplace(InitialState());
+      ctx.cur->pending_undo = &ctx.pending_undo;
+      Enter(ctx, /*via=*/-1, /*restore_stream=*/0);
       DriveLocal(ctx);
       if (Aborted()) return;
       ResetRegion(ctx);
@@ -757,57 +393,56 @@ class WorkStealingExplorer {
   }
 
   /// Claims and expands children of the top frame until the local stack
-  /// drains — the classic Drive() loop with the frame's next-child index
-  /// replaced by the task's shared cursor, and the budget by one global
-  /// atomic claimed per edge (a claim at or beyond the budget aborts; the
-  /// classic walk's boundary behavior — a final state reached exactly at
-  /// the trip is kept — is preserved because final children make no
-  /// further claims, so a run with exactly `max_total_steps` edges still
-  /// completes here).
+  /// drains. Frames claim through the task's shared cursor when published,
+  /// else through their own. Two or more workers claim the budget as one
+  /// global atomic per edge (a claim at or beyond the budget aborts; a
+  /// final state reached exactly at the trip is still kept because final
+  /// children make no further claims, so a run with exactly
+  /// `max_total_steps` edges completes); one worker checks it in Enter.
   void DriveLocal(Ctx& ctx) {
     while (!ctx.frames.empty()) {
       if (Aborted()) return;
       Frame& f = ctx.frames.back();
-      uint32_t k;
-      size_t fan;
-      if (f.task != nullptr) {
-        fan = f.task->eligible.size();
-        k = f.task->next_child.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        fan = 1;
-        k = f.only_taken ? 1u : 0u;
-        f.only_taken = true;
-      }
-      if (k >= fan) {
+      const std::vector<RuleIndex>& children =
+          f.task != nullptr ? f.task->eligible : f.eligible;
+      uint32_t k = f.task != nullptr
+                       ? f.task->next_child.fetch_add(
+                             1, std::memory_order_relaxed)
+                       : f.next_child++;
+      if (k >= children.size()) {
         PopFrame(ctx);
         continue;
       }
-      RuleIndex r = f.task != nullptr ? f.task->eligible[k] : f.only;
-      long s = steps_claimed_.fetch_add(1, std::memory_order_relaxed);
-      if (s >= options_.max_total_steps) {
-        Abort();
-        return;
+      RuleIndex r = children[k];
+      if (Parallel()) {
+        long s = steps_claimed_.fetch_add(1, std::memory_order_relaxed);
+        if (s >= options_.max_total_steps) {
+          Abort();
+          return;
+        }
+        // Worker 0 claims every step until the helpers exist, so exactly
+        // one claim — its own — crosses the threshold.
+        if (s + 1 == kHelperStartSteps) StartHelpers();
       }
-      // Worker 0 claims every step until the helpers exist, so exactly one
-      // claim — its own — crosses the threshold.
-      if (s + 1 == kHelperStartSteps) StartHelpers();
       ++ctx.local->steps;
       ctx.pending_undo.Mark();
       ctx.cur->db.BeginDelta();
       auto step = ConsiderRule(catalog_, &*ctx.cur, r);
       if (!step.ok()) {
-        Abort();
+        Fail(step.status());
         return;
       }
       size_t mark = ctx.stream.size();
-      for (const ObservableEvent& ev : step.value().observables) {
-        ctx.stream.push_back(ev);
+      if (!options_.dedup_subtrees) {
+        for (const ObservableEvent& ev : step.value().observables) {
+          ctx.stream.push_back(ev);
+        }
       }
       if (step.value().rollback) {
         ctx.cur->db.RevertDelta();
         ctx.pending_undo.RevertToMark();
         NoteRevert(ctx);
-        RecordRollback(ctx);
+        RecordRollback(ctx, r);
         ctx.stream.resize(mark);
       } else {
         Enter(ctx, r, mark);
@@ -822,30 +457,6 @@ class WorkStealingExplorer {
     state.db = initial_db_;
     for (Transition& t : state.pending) t = *initial_transition_;
     return state;
-  }
-
-  /// Builds and evaluates the exploration root on worker 0, as the classic
-  /// walk does — the classic Enter() on a region root (no entry delta,
-  /// restore-to-empty stream).
-  void EnterRoot(Ctx& ctx) {
-    ctx.cur.emplace(InitialState());
-    ctx.cur->pending_undo = &ctx.pending_undo;
-    Hash128 fp = StateFingerprint(*ctx.cur);
-    if (!visited_.Insert(fp)) ++ctx.local->interner_hits;
-    std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *ctx.cur);
-    if (triggered.empty()) {
-      ctx.local->finals.try_emplace(initial_fp_, ctx.cur->db);
-      RecordStream(ctx);
-      return;
-    }
-    if (static_cast<int>(Depth(ctx)) >= options_.max_depth) {
-      Abort();  // classic reports incomplete + may_not_terminate
-      return;
-    }
-    Frame frame;
-    frame.fp = fp;
-    frame.restore_stream = 0;
-    PushFrame(ctx, std::move(frame), triggered, /*via=*/-1);
   }
 
   /// Runs on worker 0 when the walk claims its kHelperStartSteps-th step:
@@ -885,54 +496,87 @@ class WorkStealingExplorer {
     }
   }
 
-  /// Child entry: the live state sits at the child (delta open). Terminal
-  /// outcomes revert; non-terminal ones push a frame that owns the delta.
+  /// Evaluates the state the live state sits at: interns it, records the
+  /// incoming edge, and either handles it terminally (cycle, dedup hit,
+  /// final, bound) or pushes a frame for expansion. `via` is the rule
+  /// fired into it, -1 for the exploration root. A child's entry delta is
+  /// open: terminal outcomes revert it; a pushed frame owns it.
   void Enter(Ctx& ctx, RuleIndex via, size_t restore_stream) {
     Hash128 fp = StateFingerprint(*ctx.cur);
     bool fresh = visited_.Insert(fp);
     if (!fresh) ++ctx.local->interner_hits;
+    int node = GraphNode(fp);
+    if (via >= 0) RecordEdge(ctx.frames.back().node, node, via);
     auto leave = [&] {
-      ctx.cur->db.RevertDelta();
-      ctx.pending_undo.RevertToMark();
-      NoteRevert(ctx);
+      if (via >= 0) {
+        ctx.cur->db.RevertDelta();
+        ctx.pending_undo.RevertToMark();
+        NoteRevert(ctx);
+      }
       ctx.stream.resize(restore_stream);
     };
     if (!fresh && ctx.on_path.count(fp) != 0) {
+      // A cycle in the execution graph: an infinitely long path exists.
       may_not_terminate_.store(true, std::memory_order_relaxed);
+      leave();
+      return;
+    }
+    if (!fresh && options_.dedup_subtrees) {
+      // Visit-once: a state off the DFS path was expanded (or cut) before.
+      ++ctx.local->dedup_hits;
       leave();
       return;
     }
     std::vector<RuleIndex> triggered = TriggeredRules(catalog_, *ctx.cur);
     if (triggered.empty()) {
-      ctx.local->finals.try_emplace(ctx.cur->db.ContentFingerprint(),
-                                    ctx.cur->db);
-      RecordStream(ctx);
+      if (node >= 0) result_.node_is_final[node] = true;
+      RecordTerminal(ctx, ctx.cur->db, ctx.cur->db.ContentFingerprint(), via,
+                     /*rollback=*/false);
       leave();
       return;
     }
-    if (static_cast<int>(Depth(ctx)) >= options_.max_depth) {
+    if (!WithinBounds(ctx)) {
       leave();
-      Abort();
       return;
     }
     Frame frame;
-    frame.owns_delta = true;
+    frame.owns_delta = via >= 0;
     frame.fp = fp;
     frame.restore_stream = restore_stream;
+    frame.node = node;
     PushFrame(ctx, std::move(frame), triggered, via);
   }
 
+  /// The budget and depth checks for a non-final state, made after the
+  /// final-state check: a rule-free state reached exactly as the budget
+  /// trips is still a real final state. One worker truncates here; two or
+  /// more abort the attempt on a depth trip (their budget is per edge).
+  bool WithinBounds(Ctx& ctx) {
+    if (!Parallel() && ctx.local->steps >= options_.max_total_steps) {
+      result_.complete = false;
+      return false;
+    }
+    if (static_cast<int>(Depth(ctx)) < options_.max_depth) return true;
+    if (Parallel()) {
+      Abort();
+    } else {
+      result_.complete = false;
+      may_not_terminate_.store(true, std::memory_order_relaxed);  // conservative
+    }
+    return false;
+  }
+
   /// Computes the (POR-reduced) eligible set, publishes multi-child frames
-  /// to the steal deque, and pushes the frame. `via` is the rule fired
-  /// into this state (-1 for the exploration root).
-  void PushFrame(Ctx& ctx, Frame&& frame, std::vector<RuleIndex>& triggered,
-                 RuleIndex via) {
+  /// to the steal deque when two or more workers run, and pushes the
+  /// frame. `via` is the rule fired into this state (-1 for the root).
+  void PushFrame(Ctx& ctx, Frame&& frame,
+                 const std::vector<RuleIndex>& triggered, RuleIndex via) {
     std::vector<RuleIndex> eligible = EligibleRules(catalog_, triggered);
     ReduceEligible(por_safe_, &eligible, &ctx.local->por_pruned);
     ctx.on_path.insert(frame.fp);
     if (via >= 0) ctx.path_rules.push_back(via);
     ctx.path_fps.push_back(frame.fp);
-    if (eligible.size() >= 2) {
+    if (Parallel() && eligible.size() >= 2) {
       auto task = std::make_shared<StealTask>();
       task->path = ctx.path_rules;
       task->path_fps = ctx.path_fps;
@@ -941,7 +585,7 @@ class WorkStealingExplorer {
       ctx.frames.push_back(std::move(frame));
       deques_.Push(ctx.w, std::move(task));
     } else {
-      frame.only = eligible[0];
+      frame.eligible = std::move(eligible);
       ctx.frames.push_back(std::move(frame));
     }
     ctx.local->peak_depth = std::max(ctx.local->peak_depth,
@@ -1023,47 +667,101 @@ class WorkStealingExplorer {
     ctx.path_fps.clear();
   }
 
-  /// Counts an undo-log revert at the logical (classic-equivalent) depth.
+  /// Counts an undo-log revert at the logical (one-worker) depth. The
+  /// per-event histogram Record is the only per-step registry write in the
+  /// explorer, and it is gated on metrics::Enabled() inside the macro.
   void NoteRevert(Ctx& ctx) {
     ++ctx.local->delta_reverts;
     STARBURST_METRIC_HISTOGRAM("explorer.revert_depth", RevertDepthBounds(),
                                static_cast<int64_t>(Depth(ctx)));
   }
 
-  /// Handles a ROLLBACK edge. The synthetic rollback state is interned
-  /// exactly once globally (matching the classic walk's cached intern);
-  /// every rollback edge still records the final state and its stream.
-  void RecordRollback(Ctx& ctx) {
+  /// Returns the recorded-graph node of state `fp`, numbered densely in
+  /// first-visit order, or -1 when recording is off or the node cap was
+  /// hit. One worker only.
+  int GraphNode(const Hash128& fp) {
+    if (!options_.record_graph) return -1;
+    auto [it, fresh] = graph_nodes_.try_emplace(fp, -1);
+    if (!fresh) return it->second;
+    if (static_cast<int>(result_.node_is_final.size()) >=
+        options_.max_recorded_nodes) {
+      result_.graph_truncated = true;
+    } else {
+      it->second = static_cast<int>(result_.node_is_final.size());
+      result_.node_is_final.push_back(false);
+    }
+    return it->second;
+  }
+
+  void RecordEdge(int from, int to, RuleIndex rule) {
+    if (from >= 0 && to >= 0) result_.graph_edges.push_back({from, to, rule});
+  }
+
+  /// Handles a ROLLBACK edge: the path ends in a synthetic state whose
+  /// database is the initial database. That state is interned exactly
+  /// once globally, so states_visited, the recorded graph and the DOT
+  /// output agree on node accounting; every rollback edge still records
+  /// the final state and its stream.
+  void RecordRollback(Ctx& ctx, RuleIndex via) {
     if (!rollback_claimed_.exchange(true, std::memory_order_acq_rel)) {
       if (!visited_.Insert(rollback_fp_)) ++ctx.local->interner_hits;
     }
-    ctx.local->finals.try_emplace(initial_fp_, initial_db_);
-    RecordStream(ctx);
+    int node = GraphNode(rollback_fp_);
+    if (node >= 0) result_.node_is_final[node] = true;
+    RecordEdge(ctx.frames.back().node, node, via);
+    RecordTerminal(ctx, initial_db_, initial_fp_, via, /*rollback=*/true);
   }
 
-  /// Records the current path's stream in the worker-local set. A local
-  /// set past the cap proves the global union is past the cap — the
-  /// classic walk would truncate, so abort to it.
-  void RecordStream(Ctx& ctx) {
-    auto [it, fresh] =
-        ctx.local->streams.insert(ObservableStreamToString(ctx.stream));
-    (void)it;
-    if (fresh && static_cast<int>(ctx.local->streams.size()) >
-                     options_.max_streams) {
-      Abort();
+  /// Records a terminal reached via `via`: its final database (rendered at
+  /// the merge, once per distinct fingerprint), the path's stream, and —
+  /// when a visitor is set — the terminal itself, whose firing sequence is
+  /// read off the frame stack. A visitor returning false stops the walk.
+  void RecordTerminal(Ctx& ctx, const Database& db, const Hash128& db_fp,
+                      RuleIndex via, bool rollback) {
+    ctx.local->finals.try_emplace(db_fp, db);
+    std::string stream = ObservableStreamToString(ctx.stream);
+    if (visitor_ != nullptr) {
+      if (via >= 0) ctx.path_rules.push_back(via);
+      bool go_on = (*visitor_)(ExplorationTerminal{
+          ctx.path_rules, db, db_fp, stream, rollback, ctx.local->steps});
+      if (via >= 0) ctx.path_rules.pop_back();
+      if (!go_on) {
+        result_.complete = false;
+        Abort();
+      }
+    }
+    if (!options_.dedup_subtrees) RecordStream(ctx, std::move(stream));
+  }
+
+  /// Records the current path's stream in the worker-local set. One worker
+  /// keeps the first `max_streams` distinct streams and marks the run
+  /// incomplete on a new one past the cap (a stream already kept never
+  /// does). With two or more workers, a local set past the cap proves the
+  /// global union is past it, so the attempt aborts to the one-worker run.
+  void RecordStream(Ctx& ctx, std::string stream) {
+    std::set<std::string>& streams = ctx.local->streams;
+    if (Parallel()) {
+      if (streams.insert(std::move(stream)).second &&
+          static_cast<int>(streams.size()) > options_.max_streams) {
+        Abort();
+      }
+    } else if (static_cast<int>(streams.size()) < options_.max_streams) {
+      streams.insert(std::move(stream));
+    } else if (streams.count(stream) == 0) {
+      result_.complete = false;
     }
   }
 
-  /// Merges the worker fragments into the classic-identical result.
-  /// Returns nullopt when only the merge can see a truncation (stream
-  /// union past the cap with every local set under it) — fall back.
+  /// Merges the worker fragments (and, at one worker, the truncation flag
+  /// and recorded graph already in `result_`) into the result. Returns
+  /// nullopt when only the merge can see a truncation (stream union past
+  /// the cap with every local set under it) — fall back.
   std::optional<ExplorationResult> Merge(
       std::chrono::steady_clock::time_point start) {
-    ExplorationResult out;
-    out.complete = true;
+    ExplorationResult out = std::move(result_);
     out.may_not_terminate =
         may_not_terminate_.load(std::memory_order_relaxed);
-    out.streams_evaluated = true;
+    out.streams_evaluated = !options_.dedup_subtrees;
     for (const WorkerLocal& local : locals_) {
       out.observable_streams.insert(local.streams.begin(),
                                     local.streams.end());
@@ -1073,8 +771,7 @@ class WorkStealingExplorer {
       return std::nullopt;
     }
     // Distinct final fingerprints across workers; canonical strings are
-    // rendered once per distinct final, exactly like the classic walk's
-    // fresh-fingerprint renders.
+    // rendered once per distinct final, so a revisited final costs O(1).
     std::unordered_set<Hash128, Hash128Hasher> seen;
     for (WorkerLocal& local : locals_) {
       for (auto& [fp, db] : local.finals) {
@@ -1088,6 +785,7 @@ class WorkStealingExplorer {
     for (const WorkerLocal& local : locals_) {
       out.steps_taken += local.steps;
       out.stats.interner_hits += local.interner_hits;
+      out.stats.dedup_hits += local.dedup_hits;
       out.stats.delta_reverts += local.delta_reverts;
       out.stats.por_pruned_orders += local.por_pruned;
       out.stats.peak_stack_depth =
@@ -1096,12 +794,13 @@ class WorkStealingExplorer {
     long interned = static_cast<long>(visited_.Size());
     out.states_visited = interned;
     out.stats.states_interned = interned;
-    out.stats.shared_interner_hits = out.stats.interner_hits;
     out.stats.steals = deques_.steals();
     out.stats.helper_threads = static_cast<long>(helpers_.size());
-    STARBURST_METRIC_HISTOGRAM("explorer.interner_contention",
-                               ContentionBounds(),
-                               visited_.ContendedLocks());
+    if (Parallel()) {
+      STARBURST_METRIC_HISTOGRAM("explorer.interner_contention",
+                                 ContentionBounds(),
+                                 visited_.ContendedLocks());
+    }
     out.stats.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -1114,6 +813,7 @@ class WorkStealingExplorer {
   const ExplorerOptions& options_;
   const std::vector<bool>* por_safe_;
   const size_t num_workers_;
+  const TerminalVisitor* visitor_;
 
   const Transition* initial_transition_ = nullptr;
   /// The root the helpers copy and replay from; built by StartHelpers().
@@ -1121,8 +821,15 @@ class WorkStealingExplorer {
   Hash128 initial_fp_;
   Hash128 rollback_fp_;
 
-  /// The shared concurrent interner: every state any worker visits, keyed
-  /// by 128-bit fingerprint.
+  /// One worker only: the truncation flag and recorded graph (Merge fills
+  /// the rest), the error that stopped the walk, and graph node ids by
+  /// state fingerprint.
+  ExplorationResult result_;
+  Status error_;
+  std::unordered_map<Hash128, int, Hash128Hasher> graph_nodes_;
+
+  /// The interner every worker shares: every state any worker visits,
+  /// keyed by 128-bit fingerprint.
   StripedHashSet<Hash128, Hash128Hasher> visited_;
   WorkStealingDeques<StealTask> deques_;
   std::atomic<long> steps_claimed_{0};
@@ -1163,8 +870,8 @@ void FlushExplorationMetrics(const ExplorationResult& r) {
   metrics::GetGauge("explorer.wall_us")
       ->Add(static_cast<int64_t>(r.stats.wall_seconds * 1e6));
   // Work-stealing scheduling telemetry. Gauges, not counters: steal counts
-  // are schedule-dependent and the parallel-mode fields are zero in
-  // classic mode, so none of them may enter the CountersToJson determinism
+  // are schedule-dependent and the parallel-mode fields are zero at one
+  // worker, so none of them may enter the CountersToJson determinism
   // contract (which is byte-compared across explorer thread counts).
   if (r.stats.steals > 0) {
     metrics::GetGauge("explorer.steals")->Add(r.stats.steals);
@@ -1172,24 +879,21 @@ void FlushExplorationMetrics(const ExplorationResult& r) {
   if (r.stats.helper_threads > 0) {
     metrics::GetGauge("explorer.helper_threads")->Add(r.stats.helper_threads);
   }
-  if (r.stats.shared_interner_hits > 0) {
-    metrics::GetGauge("explorer.shared_interner_hits")
-        ->Add(r.stats.shared_interner_hits);
-  }
   if (r.stats.parallel_fallbacks > 0) {
     metrics::GetGauge("explorer.parallel_fallbacks")
         ->Add(r.stats.parallel_fallbacks);
   }
 }
 
-/// Dispatches between the classic single-threaded walk and the
-/// work-stealing parallel mode. `record_graph` needs globally dense node
-/// ids and `dedup_subtrees` a visit-order-dependent memo, so both run the
-/// classic walk at every num_threads.
+/// Runs one exploration through the core. `record_graph` numbers nodes in
+/// first-visit order, `dedup_subtrees` reads the visited set in DFS order,
+/// and a visitor sees terminals in DFS order, so all three run at one
+/// worker; otherwise num_threads >= 2 sets the worker count.
 Result<ExplorationResult> RunExploration(const RuleCatalog& catalog,
                                          const Database& initial_db,
                                          const Transition& initial_transition,
-                                         const ExplorerOptions& options) {
+                                         const ExplorerOptions& options,
+                                         const TerminalVisitor* visitor) {
   std::optional<metrics::ScopedCollect> collect;
   if (options.collect_metrics) collect.emplace();
   STARBURST_TRACE_SPAN("explorer", "explore");
@@ -1198,15 +902,12 @@ Result<ExplorationResult> RunExploration(const RuleCatalog& catalog,
   const std::vector<bool> por_safe_storage = PorSafeRules(catalog, options);
   const std::vector<bool>* por_safe =
       por_safe_storage.empty() ? nullptr : &por_safe_storage;
-  Result<ExplorationResult> result = [&]() -> Result<ExplorationResult> {
-    if (options.num_threads >= 2 && !options.record_graph &&
-        !options.dedup_subtrees) {
-      WorkStealingExplorer stealing(catalog, initial_db, options, por_safe);
-      return stealing.Run(initial_transition);
-    }
-    ExplorerImpl impl(catalog, initial_db, options, por_safe);
-    return impl.Run(initial_transition);
-  }();
+  const bool one_worker = options.num_threads < 2 || options.record_graph ||
+                          options.dedup_subtrees || visitor != nullptr;
+  ExplorerCore core(catalog, initial_db, options, por_safe,
+                    one_worker ? 1 : static_cast<size_t>(options.num_threads),
+                    visitor);
+  Result<ExplorationResult> result = core.Run(initial_transition);
   if (result.ok()) FlushExplorationMetrics(result.value());
   return result;
 }
@@ -1217,7 +918,8 @@ Result<ExplorationResult> Explorer::Explore(const RuleCatalog& catalog,
                                             const Database& initial_db,
                                             const Transition& initial_transition,
                                             const ExplorerOptions& options) {
-  return RunExploration(catalog, initial_db, initial_transition, options);
+  return RunExploration(catalog, initial_db, initial_transition, options,
+                        nullptr);
 }
 
 Result<ExplorationResult> Explorer::ExploreAfterStatements(
@@ -1227,7 +929,15 @@ Result<ExplorationResult> Explorer::ExploreAfterStatements(
   Database db = initial_db;
   STARBURST_ASSIGN_OR_RETURN(Transition initial_transition,
                              ApplyUserStatements(&db, user_statements));
-  return RunExploration(catalog, db, initial_transition, options);
+  return RunExploration(catalog, db, initial_transition, options, nullptr);
+}
+
+Result<ExplorationResult> Explorer::VisitTerminals(
+    const RuleCatalog& catalog, const Database& initial_db,
+    const Transition& initial_transition, const ExplorerOptions& options,
+    const TerminalVisitor& visitor) {
+  return RunExploration(catalog, initial_db, initial_transition, options,
+                        &visitor);
 }
 
 }  // namespace starburst

@@ -1,6 +1,7 @@
 #ifndef STARBURST_RULES_EXPLORER_H_
 #define STARBURST_RULES_EXPLORER_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -9,6 +10,7 @@
 #include "analysis/commutativity.h"
 #include "common/status.h"
 #include "engine/database.h"
+#include "engine/fingerprint.h"
 #include "rules/processor.h"
 
 namespace starburst {
@@ -28,23 +30,27 @@ struct ExplorerOptions {
   /// ExecutionGraphToDot() in analysis/dot.h.
   bool record_graph = false;
   int max_recorded_nodes = 256;
-  /// When true, a state whose entire subtree was already fully explored is
-  /// not re-expanded: its reachable final states and may-not-terminate
-  /// verdict are served from a per-state memo. Sound for `final_states`,
-  /// `final_databases`, `may_not_terminate`, `complete`, and
-  /// `unique_final_state()`; observable streams are path-sensitive (the
-  /// stream prefix differs per path into a shared state), so
-  /// `observable_streams` is left EMPTY in this mode. Use the default
-  /// (false) when stream enumeration matters.
+  /// When true, the walk is a visit-once search: a state reached again off
+  /// the DFS path is not re-expanded (a `dedup_hits` count), and one
+  /// reached again on the path is a cycle, as in full enumeration. In a
+  /// complete run `final_states`, `final_databases` and
+  /// `may_not_terminate` equal the full enumeration's: the DFS reaches
+  /// every reachable state, and it finds a back edge exactly when a
+  /// reachable cycle exists. A truncated run may keep fewer final states,
+  /// since a state cut by a bound is not re-expanded either. Observable
+  /// streams are path-sensitive (the stream prefix differs per path into
+  /// a shared state), so `observable_streams` is left EMPTY in this mode.
+  /// Use the default (false) when stream enumeration matters.
   bool dedup_subtrees = false;
-  /// Opt-in parallel exploration. 0 (default) and 1 are the classic
-  /// single-threaded walk. >= 2 runs a work-stealing search: each worker
-  /// owns its own database + undo log and walks depth-first; every frame
-  /// with two or more eligible rules is published to the worker's steal
-  /// deque, and an idle worker steals the shallowest one, replays its
-  /// firing path from the root on its own state, and claims untaken
-  /// children through the frame's shared atomic cursor. States are interned
-  /// in ONE shared striped hash set keyed by 128-bit fingerprints
+  /// Worker count of the one exploration core. 0 (default) and 1 run it at
+  /// one worker: the serial depth-first walk, with one stripe in its
+  /// visited set. >= 2 runs a work-stealing search: each worker owns its
+  /// own database + undo log and walks depth-first; every frame with two
+  /// or more eligible rules is published to the worker's steal deque, and
+  /// an idle worker steals the shallowest one, replays its firing path
+  /// from the root on its own state, and claims untaken children through
+  /// the frame's shared atomic cursor. States are interned in ONE shared
+  /// striped hash set of 64 stripes keyed by 128-bit fingerprints
   /// (common/striped_set.h), so a state seen by any worker is counted once
   /// globally, and `max_total_steps` is a single atomic claimed per edge.
   /// POR's ample-set reduction applies at every state.
@@ -58,20 +64,20 @@ struct ExplorerOptions {
   /// A helper whose thread cannot be created is skipped; the workers
   /// already running finish the walk.
   ///
-  /// Results are UNCONDITIONALLY identical to the classic walk — final
+  /// Results are UNCONDITIONALLY identical to the one-worker walk — final
   /// states, observable streams, `complete`, `may_not_terminate`,
   /// `steps_taken`, and every ExplorationStats counter except the
   /// scheduling telemetry (`steals`, `helper_threads`,
-  /// `shared_interner_hits`, `parallel_fallbacks`), for any num_threads:
-  /// a parallel attempt either completes (the enumerated tree is provably
-  /// the classic tree) or is discarded and the classic walk is rerun once
-  /// (budget / depth / stream-cap trips and errors are schedule-dependent
-  /// mid-flight, so truncated results always come from the deterministic
-  /// classic walk; the rerun is bounded by the same limits that tripped,
-  /// and is counted in `ExplorationStats::parallel_fallbacks`).
-  /// `record_graph` (needs globally dense node ids) and `dedup_subtrees`
-  /// (the memo depends on visit order) always run the classic walk, so
-  /// num_threads changes nothing in those modes.
+  /// `parallel_fallbacks`), for any num_threads: a parallel attempt either
+  /// completes (the enumerated tree is provably the one-worker tree) or is
+  /// discarded and the core is rerun once at one worker (budget / depth /
+  /// stream-cap trips and errors are schedule-dependent mid-flight, so
+  /// truncated results always come from the deterministic one-worker walk;
+  /// the rerun is bounded by the same limits that tripped, and is counted
+  /// in `ExplorationStats::parallel_fallbacks`). `record_graph` (node ids
+  /// in first-visit order) and `dedup_subtrees` (visit-once in DFS order)
+  /// always run at one worker, so num_threads changes nothing in those
+  /// modes.
   int num_threads = 0;
   /// Commutativity-guided partial-order reduction (ample-set style). At a
   /// state whose eligible set contains a "safe" rule — one that (a)
@@ -111,8 +117,8 @@ struct ExplorationStats {
   /// Distinct execution states interned (including the synthetic rollback
   /// state when a rollback path exists).
   long states_interned = 0;
-  /// Subtree expansions skipped because the state's subtree was served
-  /// from the memo (only in ExplorerOptions::dedup_subtrees mode).
+  /// Revisits off the DFS path, which the visit-once search does not
+  /// re-expand (only in ExplorerOptions::dedup_subtrees mode).
   long dedup_hits = 0;
   /// Intern lookups that found an already-interned state (revisits and
   /// cycle hits). The interner hit rate is
@@ -121,9 +127,9 @@ struct ExplorationStats {
   /// Maximum depth of the explicit DFS stack.
   int peak_stack_depth = 0;
   /// Total bytes of canonical database renderings built: one per distinct
-  /// final database (the rollback final included), rendered when first
-  /// reached. Per-visit state fingerprints are maintained incrementally and
-  /// render nothing.
+  /// final database (the rollback final included), rendered once as the
+  /// walk ends. Per-visit state fingerprints are maintained incrementally
+  /// and render nothing.
   long canonicalization_bytes = 0;
   /// Undo-log delta reverts taken while backtracking: one per edge that
   /// stepped the live state forward.
@@ -132,24 +138,19 @@ struct ExplorationStats {
   /// reduction (ExplorerOptions::por). 0 when reduction is off or never
   /// applicable.
   long por_pruned_orders = 0;
-  /// Work-stealing mode only: frames successfully stolen from another
+  /// Two or more workers only: frames successfully stolen from another
   /// worker's deque. Schedule-dependent (surfaced as the explorer.steals
-  /// gauge, never a determinism-contract counter); 0 in classic mode.
+  /// gauge, never a determinism-contract counter); 0 at one worker.
   long steals = 0;
-  /// Work-stealing mode only: helper threads actually started — 0 when the
+  /// Two or more workers only: helper threads actually started — 0 when the
   /// walk finished (or tripped a bound) before claiming 64 steps, else
   /// num_threads - 1 (fewer only if thread creation failed). Depends on
   /// num_threads, so like `steals` it is telemetry (the
   /// explorer.helper_threads gauge), never a determinism-contract counter.
   long helper_threads = 0;
-  /// Work-stealing mode only: lookups in the shared concurrent interner
-  /// that found an already-interned state. Equal to `interner_hits` on the
-  /// parallel fast path (the shared set IS the interner there); 0 in
-  /// classic mode.
-  long shared_interner_hits = 0;
-  /// Work-stealing mode only: 1 when the parallel attempt was discarded
-  /// (budget / depth / stream-cap trip or error) and the classic walk was
-  /// rerun to produce this result; else 0. Deterministic for a given
+  /// Two or more workers only: 1 when the parallel attempt was discarded
+  /// (budget / depth / stream-cap trip or error) and the core was rerun at
+  /// one worker to produce this result; else 0. Deterministic for a given
   /// workload + options.
   long parallel_fallbacks = 0;
   /// Wall-clock time spent exploring, in seconds.
@@ -233,6 +234,21 @@ struct ExplorationResult {
 /// stream fields (analysis/witness.h) use exactly this encoding.
 std::string ObservableStreamToString(const std::vector<ObservableEvent>& stream);
 
+/// One terminal of the execution graph — a final state, or the initial
+/// database after a ROLLBACK — as Explorer::VisitTerminals reaches it. The
+/// references are valid only during the visitor call.
+struct ExplorationTerminal {
+  const std::vector<RuleIndex>& sequence;  // fired from the root, in order
+  const Database& final_db;  // the initial database after a rollback
+  Hash128 final_fingerprint;  // final_db.ContentFingerprint()
+  const std::string& stream;  // ObservableStreamToString; "" under dedup
+  bool rollback = false;
+  long steps_taken = 0;  // path steps so far, this terminal's edge included
+};
+
+/// Returns false to stop the walk.
+using TerminalVisitor = std::function<bool(const ExplorationTerminal&)>;
+
 /// Exhaustively enumerates every choice of eligible rule at every step,
 /// starting from `initial_db` with every rule's pending transition equal to
 /// `initial_transition` (the user-generated initial transition of
@@ -263,6 +279,16 @@ class Explorer {
       const RuleCatalog& catalog, const Database& initial_db,
       const std::vector<std::string>& user_statements,
       const ExplorerOptions& options = {});
+
+  /// Explore() at one worker (num_threads is ignored) that hands `visitor`
+  /// every terminal in DFS order, each with its firing sequence. Eligible
+  /// rules expand in ascending index order, so with POR off the first
+  /// terminal reaching an outcome has the lexicographically smallest
+  /// firing sequence to it. A stopped walk reports `complete == false`.
+  static Result<ExplorationResult> VisitTerminals(
+      const RuleCatalog& catalog, const Database& initial_db,
+      const Transition& initial_transition, const ExplorerOptions& options,
+      const TerminalVisitor& visitor);
 };
 
 }  // namespace starburst

@@ -160,12 +160,12 @@ OracleOutcome BackendEquivalence(const GeneratedRuleSet& set,
   ThreadPool::SetDefaultThreadCount(original_threads);
   if (!divergence.empty()) return Fail(divergence);
 
-  // Explorer: classic vs every work-stealing pool size must agree on the
-  // final-state set, the observable streams, both verdicts, and the visit
-  // accounting — UNCONDITIONALLY. The parallel engine shares one atomic
-  // step budget and one interner, and any bound trip aborts the parallel
-  // attempt and reruns the classic walk, so even truncated enumerations
-  // must be bit-identical.
+  // Explorer: one worker vs every work-stealing pool size must agree on
+  // the final-state set, the observable streams, both verdicts, and the
+  // visit accounting — UNCONDITIONALLY. The parallel engine shares one
+  // atomic step budget and one interner, and any bound trip aborts the
+  // parallel attempt and reruns the core at one worker, so even truncated
+  // enumerations must be bit-identical.
   ExplorerOptions classic_options = ExploreOptions(options);
   auto classic = Explorer::Explore(prepared.value().catalog,
                                    prepared.value().db,
@@ -276,6 +276,36 @@ OracleOutcome DeltaEquivalence(const GeneratedRuleSet& set,
     }
   }
 
+  // Dedup leg: the visit-once search reaches every reachable state and
+  // finds a back edge exactly when a reachable cycle exists, and its walk
+  // is the full walk minus skipped subtrees — so when the full enumeration
+  // completes, it completes too, with the same final states and
+  // termination verdict, in no more steps.
+  if (reference.value().complete) {
+    engine_options.num_threads = 0;
+    engine_options.dedup_subtrees = true;
+    auto dedup = Explorer::Explore(prepared.value().catalog,
+                                   prepared.value().db,
+                                   prepared.value().initial, engine_options);
+    if (!dedup.ok()) return Fail(dedup.status().ToString());
+    const std::string where =
+        "visit-once explorer (dedup_subtrees) diverged from the reference "
+        "walk: ";
+    if (!dedup.value().complete) {
+      return Fail(where + "incomplete where the full enumeration completes");
+    }
+    if (dedup.value().final_states != reference.value().final_states) {
+      return Fail(where + "final-state sets differ");
+    }
+    if (dedup.value().may_not_terminate !=
+        reference.value().may_not_terminate) {
+      return Fail(where + "termination verdicts differ");
+    }
+    if (dedup.value().steps_taken > reference.value().steps_taken) {
+      return Fail(where + "more steps than the full enumeration");
+    }
+  }
+
   auto after = report_json();
   if (!after.ok()) return Fail(after.status().ToString());
   if (after.value() != before.value()) {
@@ -325,9 +355,9 @@ OracleOutcome PorEquivalence(const GeneratedRuleSet& set, uint64_t data_seed,
   }
 
   // The reduction must also commute with the work-stealing engine: every
-  // worker count sees the same reduced tree. The classic POR walk was
+  // worker count sees the same reduced tree. The one-worker POR walk was
   // complete, so the parallel run — which explores the identical reduced
-  // tree under the same shared budget, or falls back to the classic walk —
+  // tree under the same shared budget, or falls back to one worker —
   // must be complete too; incompleteness is a bug, not a skip.
   for (int threads : options.backend_thread_counts) {
     ExplorerOptions stealing_options = por_options;

@@ -47,9 +47,12 @@ namespace fuzzing {
 ///                               (testing/reference_explorer.h), on
 ///                               final-state sets, observable streams,
 ///                               verdicts, completeness, visited states
-///                               and steps — classic and at every
+///                               and steps — at one worker and at every
 ///                               work-stealing worker count, POR off on
-///                               both sides — and exploration leaves
+///                               both sides; when the reference completes,
+///                               the dedup_subtrees search completes with
+///                               its final states and verdict in no more
+///                               steps — and exploration leaves
 ///                               FullReportToJson bit-identical.
 ///   kPorEquivalence             commutativity-guided partial-order
 ///                               reduction (ExplorerOptions::por) prunes

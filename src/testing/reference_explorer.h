@@ -21,7 +21,7 @@ namespace fuzzing {
 /// It always enumerates every order: ExplorerOptions::por, dedup_subtrees,
 /// record_graph, and num_threads are ignored. `max_depth`,
 /// `max_total_steps`, and `max_streams` are honoured exactly as the
-/// classic walk honours them — the budget is checked after the
+/// explorer's one-worker walk honours them — the budget is checked after the
 /// final-state check, and a stream already collected never marks the
 /// result incomplete — so `complete`, `may_not_terminate`,
 /// `final_states`, `final_databases`, `observable_streams`,

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "rulelang/parser.h"
 #include "rules/explorer.h"
@@ -308,12 +309,12 @@ TEST_F(ExplorerTest, DedupSubtreesPreservesFinalStates) {
   // its own pending marker, so any permutation of the same subset of
   // rules converges to the same state (2^3 states instead of one state
   // per ordered prefix), plus one acting rule to produce a nontrivial
-  // final database. This is the re-convergent shape where subtree
-  // memoization pays off.
+  // final database. This is the re-convergent shape where visit-once
+  // dedup pays off.
   Load("create table a (x int); create table b (x int);", kReconvergentRules);
   // All four rules are silent and commute, so POR would collapse the
-  // permutations before the memo ever gets a revisit; this test is about
-  // the memo, so reduction is pinned off.
+  // permutations before dedup ever sees a revisit; this test is about
+  // dedup, so reduction is pinned off.
   ExplorerOptions full_options;
   full_options.por = ExplorerOptions::PorMode::kOff;
   ExplorationResult full = Explore({"insert into a values (1)"}, full_options);
@@ -331,8 +332,8 @@ TEST_F(ExplorerTest, DedupSubtreesPreservesFinalStates) {
             ExplorationResult::ObservableDeterminism::kNotEvaluated);
   EXPECT_FALSE(dedup.unique_observable_stream());
   EXPECT_TRUE(full.streams_evaluated);
-  // Permutations of the false-condition rules re-converge, so the memo
-  // must actually be hit and strictly fewer steps taken than the full
+  // Permutations of the false-condition rules re-converge, so revisits
+  // must actually be skipped and strictly fewer steps taken than the full
   // enumeration.
   EXPECT_GT(dedup.stats.dedup_hits, 0);
   EXPECT_LT(dedup.steps_taken, full.steps_taken);
@@ -374,6 +375,41 @@ TEST_F(ExplorerTest, DedupSubtreesDetectsNontermination) {
   options.dedup_subtrees = true;
   ExplorationResult r = Explore({"update a set x = 1"}, options);
   EXPECT_TRUE(r.may_not_terminate);
+}
+
+// dedup_subtrees is a visit-once search on cyclic graphs too: `flip`
+// cycles x between 0 and 1 while the false-condition rules n1 / n2 only
+// clear their own markers, giving 8 states. Each state is expanded once, so
+// no (state, rule) edge is recorded twice; the full enumeration walks 38
+// steps, the visit-once search 16.
+TEST_F(ExplorerTest, DedupSubtreesVisitsEachStateOnceOnCyclicGraphs) {
+  Load("create table a (x int); create table b (x int);",
+       "create rule flip on a when updated(x) then update a set x = 1 - x; "
+       "create rule n1 on a when updated(x) "
+       "if exists (select * from a where x > 100) "
+       "then insert into b values (1); "
+       "create rule n2 on a when updated(x) "
+       "if exists (select * from a where x > 200) "
+       "then insert into b values (2);");
+  ASSERT_TRUE(db_->storage(0).Insert({Value::Int(0)}).ok());
+  ExplorerOptions options;
+  options.por = ExplorerOptions::PorMode::kOff;
+  ExplorationResult full = Explore({"update a set x = 1"}, options);
+  ASSERT_TRUE(full.complete);
+  options.dedup_subtrees = true;
+  options.record_graph = true;
+  ExplorationResult dedup = Explore({"update a set x = 1"}, options);
+  EXPECT_TRUE(dedup.complete);
+  EXPECT_EQ(dedup.steps_taken, 16);
+  EXPECT_GT(dedup.stats.dedup_hits, 0);
+  EXPECT_EQ(dedup.states_visited, full.states_visited);
+  EXPECT_EQ(dedup.final_states, full.final_states);
+  EXPECT_EQ(dedup.may_not_terminate, full.may_not_terminate);
+  std::set<std::pair<int, RuleIndex>> expanded;
+  for (const ExplorationResult::RecordedEdge& e : dedup.graph_edges) {
+    EXPECT_TRUE(expanded.insert({e.from, e.rule}).second)
+        << "state " << e.from << " expanded rule " << e.rule << " twice";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -708,7 +744,7 @@ TEST_F(ShardedExplorerTest, PorSingleEligibleRootDegradesToClassic) {
   EXPECT_GT(classic.stats.por_pruned_orders, 0);
   ExpectShardedMatchesClassic({"insert into a values (1)"}, options);
 
-  // Same degenerate root under dedup mode, which runs the classic walk at
+  // Same degenerate root under dedup mode, which runs at one worker at
   // every pool size.
   options.dedup_subtrees = true;
   options.num_threads = 0;
@@ -802,7 +838,6 @@ TEST_F(ShardedExplorerTest, DedupResultsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(rs.por_pruned_orders, cs.por_pruned_orders);
     EXPECT_EQ(rs.steals, cs.steals);
     EXPECT_EQ(rs.helper_threads, cs.helper_threads);
-    EXPECT_EQ(rs.shared_interner_hits, cs.shared_interner_hits);
     EXPECT_EQ(rs.parallel_fallbacks, cs.parallel_fallbacks);
   };
   ExplorerOptions options;

@@ -329,6 +329,41 @@ TEST(ServiceRouterTest, WitnessMatchesDirectExtractionByteForByte) {
             WitnessExtractionToJson(extraction.value(), catalog.value()));
 }
 
+// Regression: witness reconstruction once recursed one C++ frame per rule
+// firing and copied the whole state at every level, so a deep enough
+// request overflowed the stack and killed the server. `inc` retriggers
+// itself forever with a fresh x each time, so the first path never ends
+// and the walk must stop on max_steps — iteratively, without a crash.
+TEST(ServiceRouterTest, DeepWitnessRequestHitsBudgetWithoutCrashing) {
+  TenantRegistry registry;
+  ServiceRouter router(&registry);
+  const std::string script =
+      "create table a (x int); create table b (x int); "
+      "create rule inc on a when inserted, updated(x) "
+      "then update a set x = x + 1; "
+      "create rule stop1 on a when inserted, updated(x) "
+      "then delete from a; "
+      "create rule stop2 on a when inserted, updated(x) "
+      "then delete from a; "
+      "insert into b values (2);";
+  ASSERT_EQ(
+      router.Handle(MakeRequest("POST", "/v1/tenants/deep", script)).status,
+      201);
+  const std::string target =
+      "/v1/tenants/deep/witness?max_depth=1000000&max_steps=30000";
+  HttpResponse witness = router.Handle(
+      MakeRequest("POST", target, "insert into a values (0)"));
+  ASSERT_EQ(witness.status, 200) << witness.body;
+  EXPECT_EQ(witness.body,
+            "{\"status\":\"not_evaluated\",\"note\":\"witness reconstruction "
+            "budget exhausted\"}");
+  // The tenant still answers.
+  HttpResponse again = router.Handle(MakeRequest(
+      "POST", "/v1/tenants/deep/witness?max_steps=100",
+      "insert into a values (0)"));
+  EXPECT_EQ(again.status, 200) << again.body;
+}
+
 TEST(ServiceRouterTest, UnloadWhileRequestInFlightIsSafe) {
   TenantRegistry registry;
   ServiceRouter router(&registry);
