@@ -56,9 +56,7 @@ Result<Trial> RunTrial(uint64_t seed) {
     STARBURST_RETURN_IF_ERROR(initial.ForTable(t).ApplyInsert(rid, tuple));
   }
 
-  RuleProcessingState forward(&catalog.schema(), 2);
-  forward.db = db;
-  for (Transition& t : forward.pending) t = initial;
+  RuleProcessingState forward = InitialProcessingState(catalog, db, initial);
   RuleProcessingState backward = forward;
 
   STARBURST_RETURN_IF_ERROR(ConsiderRule(catalog, &forward, 0).status());

@@ -39,9 +39,7 @@ bool PairAgrees(const RuleCatalog& catalog, const GeneratedRuleSet& gen,
       return true;
     }
   }
-  RuleProcessingState forward(&catalog.schema(), catalog.num_rules());
-  forward.db = db;
-  for (Transition& t : forward.pending) t = initial;
+  RuleProcessingState forward = InitialProcessingState(catalog, db, initial);
   RuleProcessingState backward = forward;
   if (!ConsiderRule(catalog, &forward, i).ok()) return true;
   if (!ConsiderRule(catalog, &forward, j).ok()) return true;

@@ -43,9 +43,8 @@ Result<ReplayedLane> ReplaySequence(const RuleCatalog& catalog,
                                     const Transition& initial_transition,
                                     const std::vector<RuleIndex>& sequence,
                                     const std::string& label) {
-  RuleProcessingState state(&catalog.schema(), catalog.num_rules());
-  state.db = initial_db;
-  for (Transition& t : state.pending) t = initial_transition;
+  RuleProcessingState state =
+      InitialProcessingState(catalog, initial_db, initial_transition);
   std::vector<ObservableEvent> stream;
   ReplayedLane lane;
   for (size_t k = 0; k < sequence.size(); ++k) {
@@ -165,6 +164,10 @@ Result<WitnessExtraction> ExtractWitness(const RuleCatalog& catalog,
     auto it = result.observable_streams.begin();
     target_a = *it++;
     target_b = *it;
+  } else if (!result.complete) {
+    // A cut exploration may not have reached a second outcome yet: no
+    // divergence found is not "none".
+    return NotEvaluated("witness reconstruction budget exhausted");
   } else {
     extraction.status = WitnessStatus::kNone;
     return extraction;
@@ -188,13 +191,7 @@ Result<WitnessExtraction> ExtractWitness(const RuleCatalog& catalog,
   w.kind = kind;
   bool found_a = false;
   bool found_b = false;
-  bool exhausted = false;
   auto visit = [&](const ExplorationTerminal& t) {
-    // A terminal counts only within the step budget.
-    if (t.steps_taken > options.max_total_steps) {
-      exhausted = true;
-      return false;
-    }
     auto reaches = [&](const std::optional<Hash128>& fp,
                        const std::string& target) {
       return by_state ? fp == t.final_fingerprint : t.stream == target;
@@ -224,7 +221,7 @@ Result<WitnessExtraction> ExtractWitness(const RuleCatalog& catalog,
       Explorer::VisitTerminals(catalog, initial_db, initial_transition, walk,
                                visit));
   if (!found_a || !found_b) {
-    if (exhausted || !walked.complete) {
+    if (!walked.complete) {
       return NotEvaluated("witness reconstruction budget exhausted");
     }
     // The divergent outcomes were unreachable on re-walk: the exploration

@@ -89,9 +89,10 @@ enum class WitnessStatus {
   kFound,
   /// The exploration was not divergent: no witness exists.
   kNone,
-  /// Extraction could not run to a verdict: reconstruction budget
-  /// exhausted, or the divergence is stream-only and streams were not
-  /// enumerated (ExplorerOptions::dedup_subtrees). `note` says which.
+  /// Extraction could not run to a verdict: the exploration or the
+  /// reconstruction was cut by its budget, or the divergence is
+  /// stream-only and streams were not enumerated
+  /// (ExplorerOptions::dedup_subtrees). `note` says which.
   kNotEvaluated,
 };
 
@@ -141,9 +142,12 @@ std::vector<TableId> SharedFootprintTables(const PrelimAnalysis& prelim,
 ///   - else >= 2 observable streams          -> kFound (kind kObservableStream)
 ///   - else, streams not evaluated
 ///     (dedup_subtrees)                      -> kNotEvaluated
+///   - else, result incomplete (cut by a
+///     bound before a second outcome)        -> kNotEvaluated
 ///   - else                                  -> kNone
-/// A terminal counts only while steps_taken <= max_total_steps; a budget
-/// or depth cut before both targets are reached yields kNotEvaluated. Bumps
+/// The reconstruction walk never takes more than max_total_steps steps; a
+/// budget or depth cut before both targets are reached yields
+/// kNotEvaluated. Bumps
 /// explorer.witnesses_extracted on kFound; the walk itself records the
 /// explorer.* metrics of one exploration.
 Result<WitnessExtraction> ExtractWitness(const RuleCatalog& catalog,

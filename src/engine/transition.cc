@@ -283,24 +283,22 @@ Status Transition::Compose(const Transition& next) {
   return Status::OK();
 }
 
-Status Transition::ComposeLogged(const Transition& next,
+Status Transition::ComposeLogged(TableId table, const TableTransition& next,
                                  TransitionUndoLog* log) {
-  for (const auto& [table, ntt] : next.tables_) {
-    TableTransition& tt = tables_[table];
-    for (const auto& [rid, change] : ntt.changes()) {
-      TransitionUndoLog::Record rec;
-      rec.target = this;
-      rec.table = table;
-      rec.rid = rid;
-      rec.old_hash = tt.content_hash();
-      auto it = tt.changes().find(rid);
-      if (it != tt.changes().end()) {
-        rec.had_entry = true;
-        rec.old_change = it->second;
-      }
-      log->records_.push_back(std::move(rec));
-      STARBURST_RETURN_IF_ERROR(tt.ApplyChange(rid, change));
+  TableTransition& tt = tables_[table];
+  for (const auto& [rid, change] : next.changes()) {
+    TransitionUndoLog::Record rec;
+    rec.target = this;
+    rec.table = table;
+    rec.rid = rid;
+    rec.old_hash = tt.content_hash();
+    auto it = tt.changes().find(rid);
+    if (it != tt.changes().end()) {
+      rec.had_entry = true;
+      rec.old_change = it->second;
     }
+    log->records_.push_back(std::move(rec));
+    STARBURST_RETURN_IF_ERROR(tt.ApplyChange(rid, change));
   }
   return Status::OK();
 }

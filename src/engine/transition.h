@@ -31,7 +31,8 @@ struct NetChange {
   /// Cache of TableTransition::EntryHash for this entry under the rid it
   /// is keyed by; maintained (and invalidated on mutation) exclusively in
   /// transition.cc. Copies carry the cache with them — deliberately:
-  /// composing one delta entry into N pending transitions hashes it once.
+  /// composing one delta entry into the pending transitions of every rule
+  /// on its table hashes it once.
   mutable Hash128 entry_hash;
   mutable bool entry_hash_valid = false;
 };
@@ -166,9 +167,11 @@ class Transition {
   /// Composes `next` after this transition.
   Status Compose(const Transition& next);
 
-  /// Compose with inverse records appended to `*log`, so a later
+  /// Composes `next`, a net effect on `table`, after this transition's
+  /// entry for `table`, with inverse records appended to `*log`, so a later
   /// TransitionUndoLog::RevertToMark restores this transition exactly.
-  Status ComposeLogged(const Transition& next, TransitionUndoLog* log);
+  Status ComposeLogged(TableId table, const TableTransition& next,
+                       TransitionUndoLog* log);
 
   void Clear() { tables_.clear(); }
 

@@ -44,7 +44,9 @@ constexpr uint64_t kRollbackSalt = 0x726f6c6c6261636bull;
 
 /// Fingerprint of an execution state: the database's incremental content
 /// fingerprint plus each pending transition's incremental content hash
-/// mixed with a per-rule salt. Nothing is rendered — both lanes are
+/// mixed with a per-rule salt. Each pending transition holds only its
+/// rule's own table, so states that differ only in changes no rule can
+/// read share a fingerprint. Nothing is rendered — both lanes are
 /// maintained deltas. The equivalence classes are those of
 /// CanonicalStateKey (rules/processor.h): the database lane is
 /// rid-independent, the pending lane rid-sensitive (Transition::ContentHash
@@ -157,8 +159,8 @@ void ReduceEligible(const std::vector<bool>* por_safe,
 /// One worker is the serial walk (num_threads 0 or 1, record_graph,
 /// dedup_subtrees, terminal visitors, and every fallback rerun). It
 /// publishes nothing and truncates deterministically: the step budget is
-/// checked when a state is entered, after the final-state check; a depth
-/// cut marks the run incomplete and may-not-terminate; the stream cap
+/// checked where an edge is claimed, and a spent budget stops the walk; a
+/// depth cut marks the run incomplete and may-not-terminate; the stream cap
 /// keeps the first `max_streams` streams in DFS order; an error is
 /// returned.
 ///
@@ -394,11 +396,14 @@ class ExplorerCore {
 
   /// Claims and expands children of the top frame until the local stack
   /// drains. Frames claim through the task's shared cursor when published,
-  /// else through their own. Two or more workers claim the budget as one
-  /// global atomic per edge (a claim at or beyond the budget aborts; a
-  /// final state reached exactly at the trip is still kept because final
-  /// children make no further claims, so a run with exactly
-  /// `max_total_steps` edges completes); one worker checks it in Enter.
+  /// else through their own. The budget is checked per claimed edge: two
+  /// or more workers claim it as one global atomic, one worker counts its
+  /// own steps. A claim at or beyond the budget stops the walk (the
+  /// parallel attempt aborts; one worker marks the run incomplete), so
+  /// `steps_taken` never exceeds `max_total_steps`. A final state reached
+  /// exactly at the trip is still kept because final children make no
+  /// further claims, so a run with exactly `max_total_steps` edges
+  /// completes.
   void DriveLocal(Ctx& ctx) {
     while (!ctx.frames.empty()) {
       if (Aborted()) return;
@@ -423,6 +428,10 @@ class ExplorerCore {
         // Worker 0 claims every step until the helpers exist, so exactly
         // one claim — its own — crosses the threshold.
         if (s + 1 == kHelperStartSteps) StartHelpers();
+      } else if (ctx.local->steps >= options_.max_total_steps) {
+        result_.complete = false;
+        Abort();
+        return;
       }
       ++ctx.local->steps;
       ctx.pending_undo.Mark();
@@ -450,13 +459,10 @@ class ExplorerCore {
     }
   }
 
-  /// The exploration root: the initial database with every rule's pending
-  /// transition equal to the initial transition.
+  /// The exploration root: the initial database, each rule's pending
+  /// transition the initial transition's net effect on the rule's table.
   RuleProcessingState InitialState() const {
-    RuleProcessingState state(&catalog_.schema(), catalog_.num_rules());
-    state.db = initial_db_;
-    for (Transition& t : state.pending) t = *initial_transition_;
-    return state;
+    return InitialProcessingState(catalog_, initial_db_, *initial_transition_);
   }
 
   /// Runs on worker 0 when the walk claims its kHelperStartSteps-th step:
@@ -535,7 +541,7 @@ class ExplorerCore {
       leave();
       return;
     }
-    if (!WithinBounds(ctx)) {
+    if (!WithinDepth(ctx)) {
       leave();
       return;
     }
@@ -547,15 +553,10 @@ class ExplorerCore {
     PushFrame(ctx, std::move(frame), triggered, via);
   }
 
-  /// The budget and depth checks for a non-final state, made after the
-  /// final-state check: a rule-free state reached exactly as the budget
-  /// trips is still a real final state. One worker truncates here; two or
-  /// more abort the attempt on a depth trip (their budget is per edge).
-  bool WithinBounds(Ctx& ctx) {
-    if (!Parallel() && ctx.local->steps >= options_.max_total_steps) {
-      result_.complete = false;
-      return false;
-    }
+  /// The depth check for a non-final state, made after the final-state
+  /// check: a rule-free state at `max_depth` is still a real final state.
+  /// One worker truncates here; two or more abort the attempt.
+  bool WithinDepth(Ctx& ctx) {
     if (static_cast<int>(Depth(ctx)) < options_.max_depth) return true;
     if (Parallel()) {
       Abort();
@@ -722,8 +723,8 @@ class ExplorerCore {
     std::string stream = ObservableStreamToString(ctx.stream);
     if (visitor_ != nullptr) {
       if (via >= 0) ctx.path_rules.push_back(via);
-      bool go_on = (*visitor_)(ExplorationTerminal{
-          ctx.path_rules, db, db_fp, stream, rollback, ctx.local->steps});
+      bool go_on = (*visitor_)(
+          ExplorationTerminal{ctx.path_rules, db, db_fp, stream, rollback});
       if (via >= 0) ctx.path_rules.pop_back();
       if (!go_on) {
         result_.complete = false;

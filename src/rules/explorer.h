@@ -21,7 +21,8 @@ namespace starburst {
 struct ExplorerOptions {
   /// Maximum depth (rule considerations) along any path.
   int max_depth = 64;
-  /// Maximum number of path steps explored in total.
+  /// Maximum number of path steps explored in total. The walk stops when
+  /// it would claim one more, so `steps_taken` never exceeds it.
   long max_total_steps = 200000;
   /// Maximum number of distinct observable streams to collect.
   int max_streams = 1024;
@@ -243,16 +244,16 @@ struct ExplorationTerminal {
   Hash128 final_fingerprint;  // final_db.ContentFingerprint()
   const std::string& stream;  // ObservableStreamToString; "" under dedup
   bool rollback = false;
-  long steps_taken = 0;  // path steps so far, this terminal's edge included
 };
 
 /// Returns false to stop the walk.
 using TerminalVisitor = std::function<bool(const ExplorationTerminal&)>;
 
 /// Exhaustively enumerates every choice of eligible rule at every step,
-/// starting from `initial_db` with every rule's pending transition equal to
-/// `initial_transition` (the user-generated initial transition of
-/// Section 4).
+/// starting from InitialProcessingState(catalog, initial_db,
+/// initial_transition): each rule's pending transition is
+/// `initial_transition`'s net effect on the rule's own table (the
+/// user-generated initial transition of Section 4).
 ///
 /// A ROLLBACK action terminates its path: the final database is
 /// `initial_db` (transaction aborted) and the path's observable stream

@@ -39,7 +39,45 @@ bool IsTriggered(const RuleCatalog& catalog, const RuleProcessingState& state,
   return false;
 }
 
+/// Composes `delta` into the pending transitions of the rules defined on
+/// each table it changed: the only rules that can read it (Section 2).
+/// Logs the inverses in `undo` when set. Returns how many rules it
+/// composed into.
+Result<int> ComposeIntoMarkers(const RuleCatalog& catalog,
+                               const Transition& delta,
+                               std::vector<Transition>* pending,
+                               TransitionUndoLog* undo) {
+  int compositions = 0;
+  for (const auto& [table, tt] : delta.tables()) {
+    if (tt.empty()) continue;
+    for (RuleIndex r : catalog.prelim().index().RulesOn(table)) {
+      Transition& marker = (*pending)[static_cast<size_t>(r)];
+      if (undo != nullptr) {
+        STARBURST_RETURN_IF_ERROR(marker.ComposeLogged(table, tt, undo));
+      } else {
+        STARBURST_RETURN_IF_ERROR(marker.ForTable(table).Compose(tt));
+      }
+      ++compositions;
+    }
+  }
+  return compositions;
+}
+
 }  // namespace
+
+RuleProcessingState InitialProcessingState(const RuleCatalog& catalog,
+                                           Database db,
+                                           const Transition& initial) {
+  RuleProcessingState state(&catalog.schema(), catalog.num_rules());
+  state.db = std::move(db);
+  for (const auto& [table, tt] : initial.tables()) {
+    if (tt.empty()) continue;
+    for (RuleIndex r : catalog.prelim().index().RulesOn(table)) {
+      state.pending[static_cast<size_t>(r)].ForTable(table) = tt;
+    }
+  }
+  return state;
+}
 
 std::string CanonicalStateKey(const RuleProcessingState& state) {
   std::string key;
@@ -140,19 +178,15 @@ Result<StepOutcome> ConsiderRule(const RuleCatalog& catalog,
         }
       }
     }
-    // Compose the action's changes into every rule's pending transition
-    // (including r's own, reset above): rules not yet considered see the
-    // action as part of their composite transition.
-    for (Transition& pending : state->pending) {
-      if (state->pending_undo != nullptr) {
-        STARBURST_RETURN_IF_ERROR(
-            pending.ComposeLogged(exec.delta, state->pending_undo));
-      } else {
-        STARBURST_RETURN_IF_ERROR(pending.Compose(exec.delta));
-      }
-    }
-    outcome.transition_compositions +=
-        static_cast<int>(state->pending.size());
+    // Compose the action's changes into the pending transitions of the
+    // rules on the tables it changed (r's own included, reset above):
+    // rules not yet considered see the action as part of their composite
+    // transition.
+    STARBURST_ASSIGN_OR_RETURN(
+        int compositions, ComposeIntoMarkers(catalog, exec.delta,
+                                             &state->pending,
+                                             state->pending_undo));
+    outcome.transition_compositions += compositions;
   }
   return outcome;
 }
@@ -232,9 +266,9 @@ Result<ExecOutcome> RuleProcessor::ExecuteUserStatement(const Stmt& stmt) {
     in_transaction_ = false;
     return outcome;
   }
-  for (Transition& pending : pending_) {
-    STARBURST_RETURN_IF_ERROR(pending.Compose(outcome.delta));
-  }
+  STARBURST_RETURN_IF_ERROR(
+      ComposeIntoMarkers(*catalog_, outcome.delta, &pending_, nullptr)
+          .status());
   return outcome;
 }
 

@@ -16,12 +16,18 @@
 namespace starburst {
 
 /// The mutable state of a rule-processing run: the database plus, for each
-/// rule, the composite transition since the rule was last considered (or
-/// since the assertion point if never considered) — the rule's "marker"
-/// from Section 2 of the paper.
+/// rule, the composite transition on the rule's own table since the rule
+/// was last considered (or since the assertion point if never considered)
+/// — the rule's "marker" from Section 2 of the paper. A rule reads nothing
+/// else: its triggering operations and its inserted / deleted /
+/// new-updated / old-updated tables all name the table it is defined on,
+/// and composition works table by table. So a change is composed only into
+/// the markers of the rules defined on the table it changed, and two
+/// states that differ only in changes no rule can read are one state (the
+/// state of Section 4: the database plus what each rule can still see).
 struct RuleProcessingState {
   Database db;
-  std::vector<Transition> pending;  // one per rule
+  std::vector<Transition> pending;  // one per rule, its own table only
   /// When set, ConsiderRule logs the inverse of every pending-transition
   /// mutation here so the explorer can backtrack by reverting instead of
   /// copying `pending`. Null for the plain processor.
@@ -33,11 +39,22 @@ struct RuleProcessingState {
 
 /// Canonical key of an execution state: the database's canonical string,
 /// '#', then each pending transition's canonical string followed by '|'.
+/// Each pending transition holds only its rule's own table, so the key
+/// identifies a state by the database plus what each rule can still read.
 /// The database part ignores tuple ids; the pending part does not, so
 /// logically equal states reached with different tuple ids get distinct
 /// keys (extra exploration, never a wrong result). The explorer's 128-bit
 /// state fingerprints draw exactly these equivalence classes.
 std::string CanonicalStateKey(const RuleProcessingState& state);
+
+/// The root state of rule processing after the user-generated transition
+/// `initial` (Section 4): `db`, and as each rule's pending transition
+/// `initial`'s net effect on the rule's own table. Every walk, replay and
+/// experiment that starts rule processing from a transition builds its
+/// root here.
+RuleProcessingState InitialProcessingState(const RuleCatalog& catalog,
+                                           Database db,
+                                           const Transition& initial);
 
 /// Executes `user_statements` against `*db` in order and returns their
 /// composed net effect: the user-generated initial transition of Section 4
@@ -69,16 +86,17 @@ struct StepOutcome {
   int tuples_deleted = 0;
   int tuples_updated = 0;
   /// Pending-transition compositions performed by this step: one per
-  /// (action statement, rule) pair — the work the "marker" maintenance of
-  /// Section 2 does. Feeds the processor.transition_compositions metric.
+  /// (action statement, rule defined on a table that statement changed)
+  /// pair — the work the "marker" maintenance of Section 2 does. Feeds the
+  /// processor.transition_compositions metric.
   int transition_compositions = 0;
 };
 
 /// Considers rule `r` from `state`: checks its condition against its
-/// triggering transition and, if true, executes its action, composing the
-/// action's net changes into every rule's pending transition (including
-/// r's own, which is reset first). This is exactly the rule-processing
-/// step of Section 2.
+/// triggering transition and, if true, executes its action, composing each
+/// statement's net changes on a table into the pending transitions of the
+/// rules defined on that table (including r's own, which is reset first).
+/// This is exactly the rule-processing step of Section 2.
 Result<StepOutcome> ConsiderRule(const RuleCatalog& catalog,
                                  RuleProcessingState* state, RuleIndex r);
 
@@ -153,8 +171,9 @@ class RuleProcessor {
   void Begin();
 
   /// Executes one user statement within the current transaction (starting
-  /// one if needed), composing its changes into every rule's pending
-  /// transition. A user ROLLBACK aborts the transaction immediately.
+  /// one if needed), composing its changes on each table into the pending
+  /// transitions of the rules defined on that table. A user ROLLBACK
+  /// aborts the transaction immediately.
   Result<ExecOutcome> ExecuteUserStatement(const Stmt& stmt);
 
   /// Parses and executes `sql` (one statement).
@@ -174,6 +193,10 @@ class RuleProcessor {
   void Commit();
 
   bool in_transaction() const { return in_transaction_; }
+
+  /// Rule `r`'s pending transition: the changes to its own table since its
+  /// last consideration or the last assertion point.
+  const Transition& pending(RuleIndex r) const { return pending_[r]; }
 
   /// Deactivates / reactivates a rule (Starburst's `deactivate rule`): a
   /// deactivated rule is never chosen for consideration. Its composite

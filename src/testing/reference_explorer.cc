@@ -19,9 +19,8 @@ class ReferenceWalk {
       : catalog_(catalog), initial_db_(initial_db), options_(options) {}
 
   Result<ExplorationResult> Run(const Transition& initial_transition) {
-    RuleProcessingState root(&catalog_.schema(), catalog_.num_rules());
-    root.db = initial_db_;
-    for (Transition& t : root.pending) t = initial_transition;
+    RuleProcessingState root =
+        InitialProcessingState(catalog_, initial_db_, initial_transition);
     STARBURST_RETURN_IF_ERROR(Visit(root, /*depth=*/0));
     result_.states_visited =
         static_cast<long>(visited_.size()) + (rollback_reached_ ? 1 : 0);
@@ -42,10 +41,6 @@ class ReferenceWalk {
       RecordFinal(state.db);
       return Status::OK();
     }
-    if (result_.steps_taken >= options_.max_total_steps) {
-      result_.complete = false;
-      return Status::OK();
-    }
     if (depth >= options_.max_depth) {
       result_.complete = false;
       result_.may_not_terminate = true;
@@ -54,6 +49,12 @@ class ReferenceWalk {
     on_path_.insert(key);
     Status status = Status::OK();
     for (RuleIndex r : EligibleRules(catalog_, triggered)) {
+      // The budget is checked where a step is claimed. Once it is spent
+      // every later claim trips too, so the whole walk stops here.
+      if (result_.steps_taken >= options_.max_total_steps) {
+        result_.complete = false;
+        break;
+      }
       ++result_.steps_taken;
       RuleProcessingState next = state;
       Result<StepOutcome> step = ConsiderRule(catalog_, &next, r);

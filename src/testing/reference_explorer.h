@@ -21,8 +21,9 @@ namespace fuzzing {
 /// It always enumerates every order: ExplorerOptions::por, dedup_subtrees,
 /// record_graph, and num_threads are ignored. `max_depth`,
 /// `max_total_steps`, and `max_streams` are honoured exactly as the
-/// explorer's one-worker walk honours them — the budget is checked after the
-/// final-state check, and a stream already collected never marks the
+/// explorer's one-worker walk honours them — the depth is checked after the
+/// final-state check, the budget where a step is claimed (a spent budget
+/// stops the walk), and a stream already collected never marks the
 /// result incomplete — so `complete`, `may_not_terminate`,
 /// `final_states`, `final_databases`, `observable_streams`,
 /// `states_visited` (the synthetic rollback state included) and

@@ -255,6 +255,76 @@ TEST_F(ExplorerTest, RollbackExactlyAtStepBudgetIsComplete) {
   EXPECT_FALSE(truncated.complete);
 }
 
+// Regression (step budget): `max_total_steps` bounds `steps_taken`. `inc`
+// retriggers itself forever, so every walk spends its whole budget. A trip
+// once stopped only new frames while every open frame still stepped its
+// remaining children: 3,000 steps for a budget of 1,000. The reference walk
+// truncates at the same claim.
+TEST_F(ExplorerTest, StepBudgetBoundsStepsTaken) {
+  Load("create table a (x int);",
+       "create rule inc on a when inserted, updated(x) "
+       "then update a set x = x + 1; "
+       "create rule stop1 on a when inserted, updated(x) then delete from a; "
+       "create rule stop2 on a when inserted, updated(x) then delete from a;");
+  const std::vector<std::string> stmts = {"insert into a values (0)"};
+  Database db = *db_;
+  Result<Transition> initial = ApplyUserStatements(&db, stmts);
+  ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+  ExplorerOptions options;
+  options.max_depth = 1000000;
+  options.por = ExplorerOptions::PorMode::kOff;
+  for (long budget : {1L, 7L, 1000L}) {
+    options.max_total_steps = budget;
+    for (int threads : {0, 2}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget) +
+                   " num_threads=" + std::to_string(threads));
+      options.num_threads = threads;
+      ExplorationResult r = Explore(stmts, options);
+      EXPECT_FALSE(r.complete);
+      EXPECT_EQ(r.steps_taken, budget);
+    }
+    SCOPED_TRACE("reference, budget=" + std::to_string(budget));
+    auto expected =
+        fuzzing::ReferenceExplore(*catalog_, db, initial.value(), options);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_FALSE(expected.value().complete);
+    EXPECT_EQ(expected.value().steps_taken, budget);
+  }
+}
+
+// Own-table markers on the fan-out shape of bench_delta: k unordered rules
+// on `src`, each inserting into its own table. No rule is defined on a
+// t_i, so an action composes into no marker, and a state is the database
+// plus which rules are still pending: 2^k states, not one per ordered
+// prefix (326 at k = 5). Every order is still walked, and the visit-once
+// search expands each state once.
+TEST_F(ExplorerTest, FanOutStatesAreTheSubsetsOfPendingRules) {
+  std::string ddl = "create table src (a int);";
+  std::string rules;
+  for (int i = 0; i < 5; ++i) {
+    const std::string table = "t" + std::to_string(i);
+    ddl += "create table " + table + " (a int);";
+    rules += "create rule r" + std::to_string(i) +
+             " on src when inserted then insert into " + table +
+             " values (1);";
+  }
+  Load(ddl, rules);
+  ExplorerOptions options;
+  options.por = ExplorerOptions::PorMode::kOff;
+  ExplorationResult full = Explore({"insert into src values (1)"}, options);
+  EXPECT_TRUE(full.complete);
+  EXPECT_EQ(full.steps_taken, 325);  // 5 + 5*4 + 5*4*3 + 5! + 5!
+  EXPECT_EQ(full.states_visited, 32);
+  options.dedup_subtrees = true;
+  ExplorationResult dedup = Explore({"insert into src values (1)"}, options);
+  EXPECT_TRUE(dedup.complete);
+  EXPECT_EQ(dedup.steps_taken, 80);  // each subset expands its complement
+  EXPECT_EQ(dedup.states_visited, 32);
+  EXPECT_EQ(dedup.final_states, full.final_states);
+  EXPECT_EQ(full.final_states.size(), 1u);
+  EXPECT_EQ(full.observable_streams.size(), 1u);
+}
+
 // Regression (node accounting): the synthetic rollback state counts in
 // states_visited, consistently with the recorded graph's nodes.
 TEST_F(ExplorerTest, RollbackStateCountsAsVisited) {

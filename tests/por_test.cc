@@ -90,6 +90,8 @@ TEST_F(PorTest, CollapsesConfluentUnorderedRules) {
   // walks a single chain of 5.
   EXPECT_TRUE(full.complete);
   EXPECT_TRUE(por.complete);
+  EXPECT_EQ(full.states_visited, 16);
+  EXPECT_EQ(por.states_visited, 5);
   EXPECT_GT(por.stats.por_pruned_orders, 0);
   EXPECT_EQ(full.stats.por_pruned_orders, 0);
   EXPECT_LT(por.states_visited, full.states_visited);

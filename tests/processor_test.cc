@@ -2,6 +2,7 @@
 
 #include "rulelang/parser.h"
 #include "rules/processor.h"
+#include "workload/random_gen.h"
 
 namespace starburst {
 namespace {
@@ -374,6 +375,102 @@ TEST_F(ProcessorTest, ChoiceStrategyPicksAmongEligible) {
   ProcessingResult r = Assert();
   ASSERT_EQ(r.considered.size(), 2u);
   EXPECT_EQ(catalog_->prelim().rule(r.considered[0]).name, "w2");
+}
+
+/// Own-table markers: rule r's pending transition holds no change to any
+/// table but the one r is defined on.
+void ExpectOwnTableMarker(const RuleCatalog& catalog, RuleIndex r,
+                          const Transition& pending) {
+  for (const auto& [table, tt] : pending.tables()) {
+    EXPECT_TRUE(tt.empty() || table == catalog.prelim().rule(r).table)
+        << "rule " << catalog.rule(r).name << " holds changes to table "
+        << catalog.schema().table(table).name();
+  }
+}
+
+TEST_F(ProcessorTest, UserStatementsComposeOnlyIntoOwnTableMarkers) {
+  Load("create table a (x int); create table b (x int); "
+       "create table c (x int);",
+       "create rule on_a on a when inserted then insert into b values (1); "
+       "create rule on_b on b when inserted, deleted "
+       "then insert into c values (1); "
+       "create rule on_c on c when updated(x) then delete from a;");
+  for (const char* sql :
+       {"insert into a values (1)", "insert into b values (2)",
+        "insert into c values (3)", "update c set x = 4",
+        "delete from b", "delete from a"}) {
+    SCOPED_TRACE(sql);
+    Exec(sql);
+    for (RuleIndex r = 0; r < catalog_->num_rules(); ++r) {
+      ExpectOwnTableMarker(*catalog_, r, processor_->pending(r));
+    }
+  }
+  // Each rule still sees the net change to its own table: c's insert
+  // then update is an insert of 4; a's and b's inserts were deleted.
+  const TableTransition* c = processor_->pending(2).Find(2);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->InsertedTuples(), std::vector<Tuple>{{Value::Int(4)}});
+  EXPECT_TRUE(processor_->pending(0).empty());
+  EXPECT_TRUE(processor_->pending(1).empty());
+}
+
+// Every ConsiderRule from InitialProcessingState keeps the markers on their
+// own tables, whether it composes plainly (the processor) or through the
+// undo log (the explorer); both give the same state.
+TEST(OwnTableMarkerTest, ConsiderRuleComposesOnlyIntoOwnTables) {
+  int steps_checked = 0;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    RandomRuleSetParams params;
+    params.seed = seed;
+    params.num_rules = 5;
+    params.num_tables = 4;
+    params.columns_per_table = 2;
+    params.tables_per_rule = 3;
+    params.update_bound = 3;
+    params.p_insert_action = 0.3;
+    GeneratedRuleSet gen = RandomRuleSetGenerator::Generate(params);
+    auto catalog = RuleCatalog::Build(gen.schema.get(), std::move(gen.rules));
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    Database db(gen.schema.get());
+    ASSERT_TRUE(PopulateRandomDatabase(&db, 2, seed).ok());
+    // The initial transition inserts into every table.
+    Transition initial;
+    for (TableId t = 0; t < gen.schema->num_tables(); ++t) {
+      Tuple tuple(gen.schema->table(t).num_columns(), Value::Int(1));
+      auto rid = db.storage(t).Insert(tuple);
+      ASSERT_TRUE(rid.ok());
+      ASSERT_TRUE(initial.ForTable(t).ApplyInsert(rid.value(), tuple).ok());
+    }
+    RuleProcessingState plain =
+        InitialProcessingState(catalog.value(), db, initial);
+    RuleProcessingState logged = plain;
+    TransitionUndoLog undo;
+    logged.pending_undo = &undo;
+    auto expect_own_tables = [&] {
+      for (RuleIndex r = 0; r < catalog.value().num_rules(); ++r) {
+        ExpectOwnTableMarker(catalog.value(), r, plain.pending[r]);
+      }
+    };
+    expect_own_tables();
+    for (int step = 0; step < 30; ++step) {
+      std::vector<RuleIndex> eligible = EligibleRules(
+          catalog.value(), TriggeredRules(catalog.value(), plain));
+      if (eligible.empty()) break;
+      RuleIndex r = eligible[(seed + static_cast<uint64_t>(step)) %
+                             eligible.size()];
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      Result<StepOutcome> a = ConsiderRule(catalog.value(), &plain, r);
+      Result<StepOutcome> b = ConsiderRule(catalog.value(), &logged, r);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      if (a.value().rollback) break;
+      expect_own_tables();
+      EXPECT_EQ(CanonicalStateKey(logged), CanonicalStateKey(plain));
+      ++steps_checked;
+    }
+  }
+  EXPECT_GE(steps_checked, 40);
 }
 
 }  // namespace

@@ -314,9 +314,8 @@ TEST_F(RefineTest, RefinedPairsCommuteEmpirically) {
         initial.ForTable(1).ApplyInsert(rid.value(), s_row).ok());
     ASSERT_TRUE(initial.ForTable(1).ApplyDelete(999, s_row).ok());
 
-    RuleProcessingState forward(&schema_, 2);
-    forward.db = db;
-    for (Transition& tr : forward.pending) tr = initial;
+    RuleProcessingState forward =
+        InitialProcessingState(catalog.value(), db, initial);
     RuleProcessingState backward = forward;
     ASSERT_TRUE(ConsiderRule(catalog.value(), &forward, 0).ok());
     ASSERT_TRUE(ConsiderRule(catalog.value(), &forward, 1).ok());

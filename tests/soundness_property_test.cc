@@ -91,9 +91,8 @@ TEST(SoundnessTest, CommutativePairsProduceIdenticalStates) {
     auto initial = MakeInitialTransition(&db, seed);
     ASSERT_TRUE(initial.ok()) << initial.status().ToString();
 
-    RuleProcessingState forward(&catalog.schema(), catalog.num_rules());
-    forward.db = db;
-    for (Transition& t : forward.pending) t = initial.value();
+    RuleProcessingState forward =
+        InitialProcessingState(catalog, db, initial.value());
     RuleProcessingState backward = forward;
 
     auto s1 = ConsiderRule(catalog, &forward, 0);

@@ -219,6 +219,28 @@ TEST_F(WitnessTest, ExhaustedReconstructionBudgetIsNotEvaluated) {
   EXPECT_NE(e.note.find("budget"), std::string::npos) << e.note;
 }
 
+// Regression: an exploration cut by its budget before a second outcome
+// shows no divergence, not that none exists. `inc` climbs forever and the
+// stop rules fire only once x > 5, so five steps reach no final state.
+TEST_F(WitnessTest, CutExplorationIsNotEvaluated) {
+  Load("create table a (x int);",
+       "create rule inc on a when inserted, updated(x) "
+       "then update a set x = x + 1; "
+       "create rule stop1 on a when inserted, updated(x) "
+       "if exists (select * from a where x > 5) then delete from a; "
+       "create rule stop2 on a when inserted, updated(x) "
+       "if exists (select * from a where x > 5) then delete from a;");
+  ExplorerOptions explore;
+  explore.max_depth = 1000000;
+  explore.max_total_steps = 5;
+  WitnessOptions budget;
+  budget.max_depth = 1000000;
+  budget.max_total_steps = 5;
+  WitnessExtraction e = Extract({"insert into a values (0)"}, explore, budget);
+  EXPECT_EQ(e.status, WitnessStatus::kNotEvaluated);
+  EXPECT_EQ(e.note, "witness reconstruction budget exhausted");
+}
+
 TEST_F(WitnessTest, ReplayAcceptsGenuineWitnessAndRejectsTampering) {
   Load("create table a (x int);",
        "create rule w1 on a when inserted then update a set x = 1; "
